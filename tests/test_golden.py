@@ -1,0 +1,100 @@
+"""Golden report hashes for a small CLI matrix.
+
+Every report file a run writes is pinned by its SHA-256, so a change that
+claims to keep outputs byte-identical (a faster tree, a new data layout)
+is checked against the exact bytes, not a tolerance.  Inputs are ~120-row
+``synth`` files generated with fixed seeds.  A change that alters these
+hashes on purpose must name and justify the new values in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from locbench.cli import run_cli
+
+FAMILIES = "knn,decision_tree,random_forest,gbt,linear_regression,svr,ann,deep_learning"
+
+CASES = {
+    "zone-imu-forest": (
+        ["zone-imu", "--data", "{imu}"],
+        {
+            "confusion.md": "3719f071d30d5d8857578567a1a698a20f02298ec8a7a34d313c3521aed79148",
+            "predictions.csv": "0111659fc137f2602853c03151aee458415ef8a5e610104bc6faaf9b4a147fe9",
+            "report.json": "cfeda3de209726b9f66b2dd609e82fe07f879864cb52fb3c4e5b29b277f74571",
+        },
+    ),
+    "zone-imu-window": (
+        ["zone-imu", "--data", "{imu}", "--window", "3"],
+        {
+            "confusion.md": "0d56e4f7c93d6ca85a8cab4ba2c5da34630924d873402ff29ce16826a9bebe2c",
+            "predictions.csv": "d95eaad79806ca206a484e8073de97612f633a6ad74120579aa5bfcfc2753c97",
+            "report.json": "7459ce28b149dc7f3d04ec2c5895e5b698784b5cca24fde5e66786ba2419848a",
+        },
+    ),
+    "zone-imu-tree": (
+        ["zone-imu", "--data", "{imu}", "--model", "decision_tree"],
+        {
+            "confusion.md": "700e0942f43f7010b3ebd7e62faf82805f100a31fa22588f20acf435439ddc85",
+            "predictions.csv": "10980b7d2935317daf634774c2b3405d5602cae8ce1ab280312634cadc777d1a",
+            "report.json": "d950e6547baa16be7cb33bc7bb996d0a8e0a14c063d6ea5595cafe41330dffec",
+        },
+    ),
+    "zone-rssi-forest": (
+        ["zone-rssi", "--data", "{rssi}", "--model", "random_forest"],
+        {
+            "confusion.md": "92a6328e6d61dd22b185ef658dc35e54612e71966152ae6025cf07dfd8de95ef",
+            "predictions.csv": "4b723c8f9a5e5dff91a3f1c9814c0b36444a86191fcb37c9d207e9368efc36d6",
+            "report.json": "3d8633d0b0fe59ae461f8aea2940fd8c642b1b0c50dcadad985726ea2cfe0755",
+        },
+    ),
+    "coords-forest": (
+        ["coords", "--data", "{beacon}"],
+        {
+            "predictions_x.csv": "55b0774a73f662793e42c934e7c7579c9000d768dc2dc6bb429a81bf967897e8",
+            "predictions_y.csv": "6d56bff5c4b5e3251f2a7aea274d97c97eb7e384295e59a21dc7cf79d13139d7",
+            "report.json": "ab97b51be63df9babc2bae27c8217d263836423da77445300e8fc24349083379",
+        },
+    ),
+    "coords-gbt": (
+        ["coords", "--data", "{beacon}", "--model", "gbt"],
+        {
+            "predictions_x.csv": "a77b96826e43a5001bca94b9945ce251aa1b076e7c8e925c9215498bb92b5e67",
+            "predictions_y.csv": "b77924eb180775589c2ea6e646927d04f2a5f328ceaf0e4df336fd3fae9ff75f",
+            "report.json": "e2e8d9933e5e5810e368dc0082a91d50aa7fb544a0d1fe359da3076fb27eae7e",
+        },
+    ),
+    "compare-all": (
+        ["compare", "--data", "{beacon}", "--seeds", "42", "--families", FAMILIES],
+        {
+            "comparison.csv": "fd07b50d4ed3c0368f66e71598df42f2cb7eea881c7baa861e6118be8359b384",
+            "comparison.md": "a37ee6c72bbfb831ac392c6e7b961b7144ff0fae971f259fa976e030a4f6f0cf",
+            "report.json": "30678b60b96abe69f53c7ff3ba0a3bae2daace22c2a033b606540335883d4c65",
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-inputs")
+    paths = {}
+    for kind, seed in (("beacon", 11), ("imu", 12), ("rssi", 13)):
+        path = root / f"{kind}.csv"
+        argv = ["synth", "--kind", kind, "--rows", "120", "--seed", str(seed), "--out", str(path)]
+        assert run_cli(argv) == 0
+        paths[kind] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_hashes(case, inputs, tmp_path, capsys):
+    template, expected = CASES[case]
+    out = tmp_path / "out"
+    argv = [arg.format(**inputs) for arg in template] + ["--out-dir", str(out)]
+    assert run_cli(argv) == 0, capsys.readouterr().err
+    actual = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert actual == expected
