@@ -160,7 +160,12 @@ def _learner_spec(args) -> LearnerSpec:
         if value is not None:
             params[key] = value
     if getattr(args, "layers", None):
-        params["layers"] = tuple(int(v) for v in args.layers.split(",") if v)
+        try:
+            params["layers"] = tuple(int(v) for v in args.layers.split(",") if v)
+        except ValueError:
+            raise CliUsageError(
+                f"--layers expects comma-separated integers, got {args.layers!r}"
+            ) from None
     return LearnerSpec(family=args.model, seed=args.seed, params=params)
 
 
@@ -178,10 +183,15 @@ def _echo_config(args, extra: dict | None = None) -> None:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        start, _, stop = text.partition("..")
-        return tuple(range(int(start), int(stop) + 1))
-    return tuple(int(v) for v in text.split(",") if v)
+    try:
+        if ".." in text:
+            start, _, stop = text.partition("..")
+            return tuple(range(int(start), int(stop) + 1))
+        return tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise CliUsageError(
+            f"--seeds expects 'A..B', 'A,B,...' or one integer, got {text!r}"
+        ) from None
 
 
 def _read_error_column(path) -> list[float]:
@@ -330,6 +340,8 @@ def _cmd_validate_activities(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.rows < 0:
+        raise CliUsageError(f"--rows must be >= 0, got {args.rows}")
     _echo_config(args)
     if args.kind == "beacon":
         dataset = synthetic_walk_dataset(
@@ -395,7 +407,7 @@ def run_cli(argv=None) -> int:
     except (SchemaError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

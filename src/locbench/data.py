@@ -193,14 +193,16 @@ def _read_rows(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        columns: dict[str, int] = {}
-        for idx, name in enumerate(header):
-            norm = _normalize_column(name)
-            if norm and norm not in columns:
-                columns[norm] = idx
-        rows = [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: file is not UTF-8 text") from None
+    columns: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        norm = _normalize_column(name)
+        if norm and norm not in columns:
+            columns[norm] = idx
     return columns, rows
 
 

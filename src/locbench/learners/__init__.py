@@ -37,7 +37,7 @@ from .linear import LinearModel, fit_ols, predict_linear
 from .mlp import MlpModel, MlpNetwork, fit_mlp
 from .neighbors import KnnModel, fit_knn, predict_knn
 from .svr import SvrModel, fit_svr, predict_svr
-from .tree import TreeNode, eval_tree, fit_tree, tree_depth, tree_predict
+from .tree import Tree, eval_tree, fit_tree, tree_apply, tree_depth, tree_predict
 
 __all__ = [
     "CLASSIFIER_FAMILIES",
@@ -55,7 +55,7 @@ __all__ = [
     "Standardizer",
     "SvrModel",
     "TrainingDivergedError",
-    "TreeNode",
+    "Tree",
     "default_mtry",
     "eval_tree",
     "feature_importance",
@@ -75,33 +75,10 @@ __all__ = [
     "predict_linear",
     "predict_svr",
     "standardize",
+    "tree_apply",
     "tree_depth",
     "tree_predict",
 ]
-
-
-class _TreeRegressor:
-    """Single-tree wrapper giving a plain ``predict`` surface."""
-
-    def __init__(self, root: TreeNode):
-        self.root = root
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return tree_predict(self.root, X)
-
-
-class _TreeClassifier:
-    def __init__(self, root: TreeNode, n_classes: int):
-        self.root = root
-        self.n_classes = n_classes
-
-    def predict_confidence(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        conf = np.zeros((len(X), self.n_classes))
-        for i, row in enumerate(X):
-            counts = np.asarray(eval_tree(self.root, row), dtype=float)
-            conf[i] = counts / counts.sum()
-        return conf
 
 
 def fit_regressor(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
@@ -111,8 +88,7 @@ def fit_regressor(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
     if family == "knn":
         return fit_knn(X, y, k=p["k"], task="regression")
     if family == "decision_tree":
-        root = fit_tree(X, y, task="regression", max_depth=p["depth"], min_leaf=p["min_leaf"])
-        return _TreeRegressor(root)
+        return fit_tree(X, y, task="regression", max_depth=p["depth"], min_leaf=p["min_leaf"])
     if family == "random_forest":
         return fit_forest(
             X,
@@ -131,7 +107,6 @@ def fit_regressor(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
             max_depth=p["depth"],
             rate=p["rate"],
             min_leaf=p["min_leaf"],
-            seed=spec.seed,
         )
     if family == "linear_regression":
         return fit_ols(X, y)
@@ -144,7 +119,6 @@ def fit_regressor(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
             kernel=p["kernel"],
             gamma=p["gamma"],
             max_iter=p["iters"],
-            seed=spec.seed,
         )
     if family in ("ann", "deep_learning"):
         return fit_mlp(
@@ -173,7 +147,7 @@ def fit_classifier(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, n_classes: i
     if family == "knn":
         return fit_knn(X, y, k=p["k"], task="classification", n_classes=n_classes)
     if family == "decision_tree":
-        root = fit_tree(
+        return fit_tree(
             X,
             y,
             task="classification",
@@ -181,7 +155,6 @@ def fit_classifier(spec: LearnerSpec, X: np.ndarray, y: np.ndarray, n_classes: i
             min_leaf=p["min_leaf"],
             n_classes=n_classes,
         )
-        return _TreeClassifier(root, n_classes)
     if family == "random_forest":
         return fit_forest(
             X,

@@ -4,8 +4,7 @@ The model starts from the target mean; each stage fits a depth-limited
 tree to the current residuals and adds ``rate`` times its output.  With
 least-squares leaves and a rate in (0, 1] every stage can only lower the
 training loss, so the recorded per-stage losses are non-increasing.
-Training is deterministic (no row subsampling); the seed is accepted for
-interface parity with the other ensemble learners.
+Training is deterministic (no row subsampling).
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .tree import TreeNode, fit_tree, tree_predict
+from .tree import Tree, fit_tree, tree_predict
 
 
 @dataclass(frozen=True)
 class GbtModel:
     baseline: float
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     rate: float
     train_losses: tuple[float, ...]  # training MSE after 0, 1, ..., n stages
 
@@ -37,7 +36,6 @@ def fit_gbt(
     max_depth: int = 5,
     rate: float = 0.1,
     min_leaf: int = 1,
-    seed: int = 42,
 ) -> GbtModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

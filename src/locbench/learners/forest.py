@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .tree import TreeNode, eval_tree, tree_gains, tree_predict
+from .tree import Tree, tree_gains, tree_predict
 
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 10
@@ -25,7 +25,7 @@ DEFAULT_DEPTH = 10
 class ForestModel:
     """A fitted ensemble; immutable and shareable across threads."""
 
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     task: str
     n_features: int
     n_classes: int | None
@@ -113,10 +113,10 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
             total += tree_predict(tree, X)
         return total / model.n_trees
     votes = np.zeros((len(X), model.n_classes))
+    rows = np.arange(len(X))
     for tree in model.trees:
-        for i, row in enumerate(X):
-            counts = eval_tree(tree, row)
-            votes[i, int(np.argmax(counts))] += 1.0
+        # argmax takes the first maximum: count ties vote for the lowest class.
+        votes[rows, np.argmax(tree_predict(tree, X), axis=1)] += 1.0
     return votes / model.n_trees
 
 

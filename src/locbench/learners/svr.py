@@ -6,8 +6,7 @@ kernel) or on per-sample coefficients through the kernel matrix (RBF).
 Each iteration proposes a subgradient step and backtracks (halving the
 step) until the objective does not increase, so the recorded objective
 trajectory is non-increasing by construction.  The optimizer runs a
-fixed iteration budget; it is deterministic, with the seed kept for
-interface parity.
+fixed iteration budget and is deterministic.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ def fit_svr(
     kernel: str = "rbf",
     gamma: float | None = None,
     max_iter: int = 500,
-    seed: int = 42,
 ) -> SvrModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

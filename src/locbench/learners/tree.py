@@ -1,4 +1,9 @@
-"""Binary decision trees grown by exhaustive greedy splitting.
+"""Binary decision trees grown by exhaustive greedy splitting, stored flat.
+
+A fitted :class:`Tree` is a set of parallel per-node arrays.  Node 0 is
+the root and nodes are numbered in depth-first preorder: a node, then
+its whole left subtree, then its right subtree.  Leaves have feature -1
+and children -1.
 
 Regression splits minimize the summed squared deviation of each child
 from its mean; classification splits minimize count-weighted Gini
@@ -6,6 +11,11 @@ impurity.  Candidate thresholds are the midpoints between consecutive
 distinct sorted feature values.  Queries descend LEFT when the feature
 value is strictly greater than the node threshold, right otherwise --
 the same orientation as rule listings that print the ">" branch first.
+
+Growth sorts each feature once per tree and hands every node its rows
+already in sorted order per feature, so one vectorized pass searches
+all candidate features of a node.  Prediction moves every query row
+down one level per step.
 """
 
 from __future__ import annotations
@@ -17,149 +27,134 @@ import numpy as np
 from ..data import ValidationError
 
 
-@dataclass
-class TreeNode:
-    """Either an internal split or a leaf.
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A fitted tree as parallel arrays indexed by node id.
 
-    Internal nodes carry (feature, threshold, left, right, gain); leaves
-    carry a payload ``value`` (float mean for regression, integer class
-    counts for classification) and the training sample ``count``.
-    ``gain`` is the training impurity decrease achieved by the split,
-    in summed-squared-error or count-weighted Gini units.
+    ``value`` holds the leaf payloads: float means of shape ``(n_nodes,)``
+    for regression, integer class counts of shape ``(n_nodes, n_classes)``
+    for classification (zero at internal nodes).  ``count`` is the number
+    of training samples reaching each node, and ``gain`` the training
+    impurity decrease of each split (0 at leaves), in summed-squared-error
+    or count-weighted Gini units.
     """
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | np.ndarray | None = None
-    count: int = 0
-    gain: float = 0.0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+    gain: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def predict(self, X) -> np.ndarray:
+        """Leaf payload per row: the mean (regression) or class counts."""
+        return tree_predict(self, X)
+
+    def predict_confidence(self, X) -> np.ndarray:
+        """Per-row class fractions of the leaf's training counts."""
+        if self.value.ndim != 2:
+            raise ValidationError("confidence output requires a classification tree")
+        counts = self.predict(X).astype(float)
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
-def eval_tree(root: TreeNode, features) -> float | np.ndarray:
+def tree_apply(tree: Tree, X) -> np.ndarray:
+    """Leaf id reached by every row of X, moving all rows one level per step."""
+    X = np.asarray(X, dtype=float)
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        feature = tree.feature[at]
+        inner = feature >= 0
+        rows, at, feature = rows[inner], at[inner], feature[inner]
+        goes_left = X[rows, feature] > tree.threshold[at]
+        node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
+    return node
+
+
+def tree_predict(tree: Tree, X) -> np.ndarray:
+    """Leaf payload for every row of X (leaf means for a regression tree)."""
+    return tree.value[tree_apply(tree, X)]
+
+
+def eval_tree(tree: Tree, features) -> float | np.ndarray:
     """Route one feature row to a leaf and return its payload."""
     x = np.asarray(features, dtype=float)
-    node = root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] > node.threshold else node.right
-    return node.value
+    node = 0
+    while tree.feature[node] >= 0:
+        goes_left = x[tree.feature[node]] > tree.threshold[node]
+        node = tree.left[node] if goes_left else tree.right[node]
+    return tree.value[node]
 
 
-def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Regression predictions (leaf means) for every row of X."""
-    X = np.asarray(X, dtype=float)
-    return np.array([eval_tree(root, row) for row in X], dtype=float)
+def tree_depth(tree: Tree) -> int:
+    depth, level = 0, np.array([0])
+    while True:
+        level = level[tree.feature[level] >= 0]
+        if not level.size:
+            return depth
+        level = np.concatenate([tree.left[level], tree.right[level]])
+        depth += 1
 
 
-def tree_predict_class(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Majority-class index per row; count ties go to the lowest class index."""
-    X = np.asarray(X, dtype=float)
-    return np.array([int(np.argmax(eval_tree(root, row))) for row in X], dtype=int)
+def tree_gains(tree: Tree, n_features: int) -> np.ndarray:
+    """Per-feature total impurity decrease over all splits of one tree.
 
-
-def tree_depth(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 0
-    return 1 + max(tree_depth(root.left), tree_depth(root.right))
-
-
-def tree_gains(root: TreeNode, n_features: int) -> np.ndarray:
-    """Per-feature total impurity decrease over all splits of one tree."""
-    gains = np.zeros(n_features)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            gains[node.feature] += node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-    return gains
-
-
-def _weighted_sse(y: np.ndarray) -> float:
-    return float(np.sum(y * y) - (np.sum(y) ** 2) / len(y))
-
-
-def _weighted_gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    return float(n - np.sum(counts.astype(float) ** 2) / n)
-
-
-def _best_split_regression(X, y, features, min_leaf):
-    """Best (gain, feature, threshold) over candidates, or None.
-
-    Iterates features ascending and thresholds ascending with a strictly-
-    greater update rule, so exact ties resolve to the lowest feature index
-    and then the lowest threshold.
+    Gains are added in right-first preorder (a node, its right subtree,
+    then its left subtree).  Importance weights are reported at full
+    precision, so this summation order is part of their value.
     """
-    n = len(y)
-    parent = _weighted_sse(y)
-    best = None
-    for f in features:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        # Split between sorted positions i and i+1: the first i+1 samples
-        # (values <= threshold) form the RIGHT child, the rest the LEFT.
-        i = np.arange(n - 1)
-        n_right = i + 1.0
-        n_left = n - n_right
-        valid = (xs[:-1] < xs[1:]) & (n_right >= min_leaf) & (n_left >= min_leaf)
-        if not valid.any():
-            continue
-        sse_right = csq[:-1] - csum[:-1] ** 2 / n_right
-        sse_left = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_left
-        gain = np.where(valid, parent - (sse_left + sse_right), -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] >= 0 and (best is None or gain[pos] > best[0]):
-            threshold = (xs[pos] + xs[pos + 1]) / 2.0
-            best = (float(gain[pos]), f, float(threshold))
-    return best
+    n = len(tree.feature)
+    # A preorder subtree spans [node, end), where end is one past its
+    # rightmost leaf, found by pointer doubling along right children.
+    last = np.where(tree.feature >= 0, tree.right, np.arange(n))
+    while not np.array_equal(hop := last[last], last):
+        last = hop
+    end = last + 1
+    # Subtrees covering a node are its own and its ancestors'.
+    covering = np.cumsum(1 - np.bincount(end, minlength=n + 1)[:n])
+    rank = n - 1 + covering - end  # position in right-first preorder
+    order = np.argsort(rank)
+    splits = order[tree.feature[order] >= 0]
+    return np.bincount(tree.feature[splits], weights=tree.gain[splits], minlength=n_features)
 
 
-def _best_split_gini(X, y, n_classes, features, min_leaf):
-    """Classification counterpart of :func:`_best_split_regression`."""
-    n = len(y)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    total = onehot.sum(axis=0)
-    parent = _weighted_gini(total)
-    best = None
-    for f in features:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        right_counts = cum[:-1]
-        left_counts = total - right_counts
-        n_right = right_counts.sum(axis=1)
-        n_left = n - n_right
-        valid = (xs[:-1] < xs[1:]) & (n_right >= min_leaf) & (n_left >= min_leaf)
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_right = n_right - np.sum(right_counts**2, axis=1) / n_right
-            gini_left = n_left - np.sum(left_counts**2, axis=1) / n_left
-        gain = np.where(valid, parent - (gini_left + gini_right), -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] >= 0 and (best is None or gain[pos] > best[0]):
-            threshold = (xs[pos] + xs[pos + 1]) / 2.0
-            best = (float(gain[pos]), f, float(threshold))
-    return best
+def _best_split(xs, ys, parent, min_leaf, n_classes):
+    """Best (gain, row, threshold) over a block of candidate features, or None.
+
+    Row r of ``xs`` holds one feature's values over the node's samples in
+    ascending order and row r of ``ys`` their targets.  Splitting between
+    sorted positions i and i+1 sends the first i+1 samples (values <=
+    threshold) RIGHT and the rest LEFT.  Exact gain ties resolve to the
+    lowest row, then the lowest threshold: the first maximum in row-major
+    order.  A best gain below zero yields None.
+    """
+    m = xs.shape[1]
+    lo, hi = min_leaf - 1, m - min_leaf  # positions leaving min_leaf samples per side
+    n_right = np.arange(lo + 1, hi + 1, dtype=float)
+    n_left = m - n_right
+    if n_classes is None:
+        csum = ys.cumsum(axis=1)
+        csq = (ys * ys).cumsum(axis=1)
+        sse_right = csq[:, lo:hi] - csum[:, lo:hi] ** 2 / n_right
+        sse_left = (csq[:, -1:] - csq[:, lo:hi]) - (csum[:, -1:] - csum[:, lo:hi]) ** 2 / n_left
+        gain = parent - (sse_left + sse_right)
+    else:
+        # Integer counts keep every sum of squares exact.
+        cum = (ys[:, :, None] == np.arange(n_classes)).cumsum(axis=1)
+        right_counts = cum[:, lo:hi]
+        left_counts = cum[:, -1:] - right_counts
+        gini_right = n_right - (right_counts**2).sum(axis=2) / n_right
+        gini_left = n_left - (left_counts**2).sum(axis=2) / n_left
+        gain = parent - (gini_left + gini_right)
+    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+    row, pos = divmod(int(gain.argmax()), hi - lo)
+    if not gain[row, pos] >= 0:
+        return None
+    threshold = (xs[row, lo + pos] + xs[row, lo + pos + 1]) / 2.0
+    return float(gain[row, pos]), row, float(threshold)
 
 
 def fit_tree(
@@ -172,7 +167,7 @@ def fit_tree(
     n_classes: int | None = None,
     mtry: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow a tree on (X, y).
 
     For classification, ``y`` holds integer class indices and
@@ -193,60 +188,78 @@ def fit_tree(
         if n_classes is None:
             raise ValidationError("classification requires n_classes")
         y = y.astype(int)
+        inner_value: float | np.ndarray = np.zeros(n_classes, dtype=np.intp)
     elif task == "regression":
         y = y.astype(float)
+        n_classes = None
+        inner_value = 0.0
     else:
         raise ValidationError(f"unknown task {task!r}")
     if mtry is not None and rng is None:
         raise ValidationError("feature subsampling requires an rng")
 
-    p = X.shape[1]
-    all_features = np.arange(p)
+    n, p = X.shape
+    nodes: list[list] = []  # [feature, threshold, left, right, value, count, gain]
 
-    def make_leaf(idx: np.ndarray) -> TreeNode:
-        if task == "regression":
-            payload: float | np.ndarray = float(y[idx].mean())
-        else:
-            payload = np.bincount(y[idx], minlength=n_classes)
-        return TreeNode(value=payload, count=len(idx))
+    def grow(idx, ids, xs, keep, depth: int) -> None:
+        """Append the subtree over samples ``idx`` (ascending) in preorder.
 
-    def impure(idx: np.ndarray) -> bool:
-        if task == "regression":
-            return bool(y[idx].min() < y[idx].max())
-        return bool(y[idx].min() != y[idx].max())
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        n_here = len(idx)
-        depth_left = max_depth is None or depth < max_depth
-        if not depth_left or n_here < 2 * min_leaf or not impure(idx):
-            return make_leaf(idx)
-
-        if mtry is not None and mtry < p:
-            features = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            features = all_features
-        Xn, yn = X[idx], y[idx]
-        if task == "regression":
-            best = _best_split_regression(Xn, yn, features, min_leaf)
-            if best is None and len(features) < p:
-                best = _best_split_regression(Xn, yn, all_features, min_leaf)
-        else:
-            best = _best_split_gini(Xn, yn, n_classes, features, min_leaf)
-            if best is None and len(features) < p:
-                best = _best_split_gini(Xn, yn, n_classes, all_features, min_leaf)
+        Row f of ``ids[keep].reshape(p, -1)`` lists the same samples by
+        ascending feature f, value ties by sample id, and ``xs`` holds
+        their values likewise.  Only a node that is searched gathers them.
+        """
+        yn = y[idx]
+        node = [-1, 0.0, -1, -1, inner_value, len(idx), 0.0]
+        nodes.append(node)
+        best = None
+        if (
+            (max_depth is None or depth < max_depth)
+            and len(idx) >= 2 * min_leaf
+            and yn.min() < yn.max()
+        ):
+            ids, xs = ids[keep].reshape(p, -1), xs[keep].reshape(p, -1)
+            # Summed in ascending sample order, so the rounding never changes.
+            if n_classes is None:
+                parent = float((yn * yn).sum() - yn.sum() ** 2 / len(yn))
+            else:
+                counts = np.bincount(yn, minlength=n_classes)
+                parent = float(len(yn) - (counts * counts).sum() / len(yn))
+            if mtry is not None and mtry < p:
+                features = np.sort(rng.choice(p, size=mtry, replace=False))
+                best = _best_split(xs[features], y[ids[features]], parent, min_leaf, n_classes)
+            if best is None:
+                features = np.arange(p)
+                best = _best_split(xs, y[ids], parent, min_leaf, n_classes)
         if best is None:
-            return make_leaf(idx)
+            if n_classes is None:
+                node[4] = float(yn.mean())
+            else:
+                node[4] = np.bincount(yn, minlength=n_classes)
+            return
 
-        gain, feature, threshold = best
-        goes_left = X[idx, feature] > threshold
-        node = TreeNode(
-            feature=int(feature),
-            threshold=threshold,
-            left=grow(idx[goes_left], depth + 1),
-            right=grow(idx[~goes_left], depth + 1),
-            count=n_here,
-            gain=gain,
-        )
-        return node
+        gain, row, threshold = best
+        feature = int(features[row])
+        goes_left = Xt[feature, idx] > threshold
+        to_left = Xt[feature, ids] > threshold
+        node[:4] = feature, threshold, len(nodes), -1
+        node[6] = gain
+        grow(idx[goes_left], ids, xs, to_left, depth + 1)
+        node[3] = len(nodes)
+        grow(idx[~goes_left], ids, xs, ~to_left, depth + 1)
 
-    return grow(np.arange(len(y)), 0)
+    # A stable sort orders value ties by sample id; a node keeps the entries
+    # of its parent's order that it owns, which is its own stable sort.
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
+    xs = np.take_along_axis(Xt, order, axis=1)
+    grow(np.arange(n), order, xs, np.ones_like(order, dtype=bool), 0)
+    feature, threshold, left, right, value, count, gain = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value),
+        count=np.array(count, dtype=np.intp),
+        gain=np.array(gain, dtype=float),
+    )

@@ -299,3 +299,38 @@ class TestCliBasics:
         capsys.readouterr()
         run(["coords", "--data", str(data), "--trees", "5", "--out-dir", str(tmp_path / "o")])
         assert "seed = 42" in capsys.readouterr().out  # the default, made explicit
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--seeds", "abc"],
+            ["compare", "--seeds", "1.."],
+            ["coords", "--model", "ann", "--layers", "a,b"],
+        ],
+    )
+    def test_unparsable_values_exit_one(self, argv, beacon_csv, tmp_path, capsys):
+        code = run(argv + ["--data", str(beacon_csv), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_synth_rows_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["synth", "--rows", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --rows must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_directory_as_data_exits_one(self, tmp_path, capsys):
+        code = run(["coords", "--data", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
+    def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        header = "Position X,Position Y,Distance A,Distance B,Distance C,Time\n"
+        data.write_bytes(header.encode() + "1,2,3,4,5,café\n".encode("latin-1"))
+        code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {data}: file is not UTF-8 text\n"

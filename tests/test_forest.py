@@ -3,18 +3,19 @@ import pytest
 
 from locbench.learners import (
     ForestModel,
-    TreeNode,
     feature_importance,
     fit_forest,
     predict_forest,
     tree_depth,
 )
+from locbench.learners.tree import tree_gains
+from reference_trees import leaf
 
 
 def vote_leaf(class_idx, n_classes=4):
     counts = np.zeros(n_classes, dtype=int)
     counts[class_idx] = 1
-    return TreeNode(value=counts, count=1)
+    return leaf(counts, 1)
 
 
 class TestForestRegression:
@@ -22,7 +23,7 @@ class TestForestRegression:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 3))
         model = fit_forest(X, np.full(30, 4.5), n_trees=10, seed=1)
-        assert all(tree.is_leaf for tree in model.trees)
+        assert all(tree.feature[0] == -1 for tree in model.trees)
         assert np.all(predict_forest(model, X[:5]) == 4.5)
 
     def test_prediction_bounded_by_target_range(self):
@@ -123,3 +124,21 @@ class TestFeatureImportance:
         report = feature_importance(model, feature_names=("left", "right"))
         assert set(report.weights) == {"left", "right"}
         assert report.weights["right"] > report.weights["left"]
+
+    def test_per_tree_gains_keep_right_first_summation_order(self):
+        # Importance weights are reported at full precision, so each
+        # feature's gains must be added in the order of a stack walk that
+        # pushes the left child, then the right one.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(150, 3))
+        y = X[:, 0] + np.sin(3 * X[:, 1]) + rng.normal(scale=0.3, size=150)
+        model = fit_forest(X, y, n_trees=8, seed=13, mtry=1)
+        for tree in model.trees:
+            expected = np.zeros(3)
+            stack = [0]
+            while stack:
+                node = stack.pop()
+                if tree.feature[node] >= 0:
+                    expected[tree.feature[node]] += tree.gain[node]
+                    stack.extend([tree.left[node], tree.right[node]])
+            assert np.array_equal(tree_gains(tree, 3), expected)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locbench.data import ValidationError
-from locbench.learners import TreeNode, eval_tree, fit_tree, tree_depth, tree_predict
+from locbench.learners import eval_tree, fit_tree, tree_apply, tree_depth, tree_predict
 from reference_trees import (
     X_TREE_THRESHOLDS,
     Y_TREE_THRESHOLDS,
+    brute_force_split,
     crossing_grid,
+    leaf,
     x_coordinate_oracle,
     x_coordinate_tree,
     y_coordinate_oracle,
@@ -45,18 +47,30 @@ class TestEvalTreeAgainstReferenceTrees:
         assert eval_tree(y_coordinate_tree(), (1.008, 0.0, 1.7)) == 223.0
 
     def test_single_leaf_tree_returns_its_value_everywhere(self):
-        stump = TreeNode(value=7.5, count=3)
+        stump = leaf(7.5, 3)
         for x in ([0.0, 0.0, 0.0], [1e6, -1e6, 42.0]):
             assert eval_tree(stump, x) == 7.5
+
+    def test_batch_routing_matches_single_row_walk(self):
+        for tree, thresholds in (
+            (x_coordinate_tree(), X_TREE_THRESHOLDS),
+            (y_coordinate_tree(), Y_TREE_THRESHOLDS),
+        ):
+            grid = np.array(crossing_grid(thresholds))
+            leaves = tree_apply(tree, grid)
+            assert np.all(tree.feature[leaves] == -1)
+            expected = [eval_tree(tree, row) for row in grid]
+            assert tree_predict(tree, grid).tolist() == expected
+            assert tree_apply(tree, grid[:0]).shape == (0,)
 
 
 class TestFitTreeRegression:
     def test_constant_targets_give_single_leaf(self):
         X = np.arange(10.0).reshape(-1, 1)
         root = fit_tree(X, np.full(10, 3.25))
-        assert root.is_leaf
-        assert root.value == 3.25
-        assert root.count == 10
+        assert root.feature[0] == -1
+        assert root.value[0] == 3.25
+        assert root.count[0] == 10
 
     def test_hand_checked_depth_one_split(self):
         # Candidates are midpoints 1.5, 2.5, 3.5; only 2.5 separates the
@@ -64,10 +78,10 @@ class TestFitTreeRegression:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         root = fit_tree(X, y, max_depth=1)
-        assert not root.is_leaf
-        assert root.threshold == 2.5
-        assert root.left.value == 10.0  # the > branch
-        assert root.right.value == 0.0
+        assert root.feature[0] != -1
+        assert root.threshold[0] == 2.5
+        assert root.value[root.left[0]] == 10.0  # the > branch
+        assert root.value[root.right[0]] == 0.0
         assert np.all(tree_predict(root, X) == y)
 
     def test_exact_fit_when_rows_distinct(self):
@@ -97,13 +111,9 @@ class TestFitTreeRegression:
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         root = fit_tree(X, y, min_leaf=5)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                assert node.count >= 5
-            else:
-                stack.extend([node.left, node.right])
+        is_leaf = root.feature == -1
+        assert is_leaf.any()
+        assert np.all(root.count[is_leaf] >= 5)
 
     def test_tie_breaks_prefer_lowest_feature_then_threshold(self):
         # Identical duplicated feature columns: gains are bit-identical, so
@@ -111,13 +121,13 @@ class TestFitTreeRegression:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         root = fit_tree(X, y, max_depth=1)
-        assert root.feature == 0
+        assert root.feature[0] == 0
         # Symmetric targets: splitting at 1.5 and 2.5 tie on gain; the
         # lower threshold wins.
         X2 = np.array([[1.0], [2.0], [3.0]])
         y2 = np.array([0.0, 5.0, 10.0])
         root2 = fit_tree(X2, y2, max_depth=1)
-        assert root2.threshold == 1.5
+        assert root2.threshold[0] == 1.5
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -128,7 +138,7 @@ class TestFitTreeRegression:
         y = np.array([0.0, 0.0, 10.0, 10.0])
         root = fit_tree(X, y, max_depth=1)
         # Parent SSE is 100, children are pure: the full decrease.
-        assert root.gain == pytest.approx(100.0)
+        assert root.gain[0] == pytest.approx(100.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -164,13 +174,13 @@ class TestFitTreeClassification:
         X = np.array([[0.0], [0.0], [1.0]])
         y = np.array([0, 0, 1])
         root = fit_tree(X, y, task="classification", n_classes=3, max_depth=0)
-        assert root.is_leaf
-        assert root.value.tolist() == [2, 1, 0]
+        assert root.feature[0] == -1
+        assert root.value[0].tolist() == [2, 1, 0]
 
     def test_pure_node_stops(self):
         X = np.array([[0.0], [1.0], [2.0]])
         root = fit_tree(X, np.array([1, 1, 1]), task="classification", n_classes=2)
-        assert root.is_leaf
+        assert root.feature[0] == -1
 
     def test_requires_n_classes(self):
         with pytest.raises(ValidationError):
@@ -182,4 +192,64 @@ class TestFitTreeClassification:
         X = np.column_stack([np.repeat([0.0, 1.0], 20), rng.normal(size=40)])
         y = np.repeat([0, 1], 20)
         root = fit_tree(X, y, task="classification", n_classes=2, max_depth=1)
-        assert root.feature == 0
+        assert root.feature[0] == 0
+
+
+def _depth_one_outcomes(X, y, task, min_leaf, mtry, seed):
+    """Brute-force results fit_tree(max_depth=1) may match at the root.
+
+    Mirrors fit_tree's draw: one sorted ``rng.choice`` when the root is
+    splittable and ``mtry`` < p, then a search of all features when the
+    drawn subset has no split.  An exact-zero best gain is ambiguous in
+    floating point (it may round below zero and trigger the fallback), so
+    then both the subset and the all-feature results are acceptable.
+    """
+    n, p = X.shape
+    if n < 2 * min_leaf or min(y) == max(y):
+        return [(None, 0)]
+    features = range(p)
+    if mtry is not None and mtry < p:
+        features = np.sort(np.random.default_rng(seed).choice(p, size=mtry, replace=False))
+    subset = brute_force_split(X, y, task=task, min_leaf=min_leaf, features=features)
+    outcomes = [subset]
+    if subset[0] is None or subset[0][0] == 0:
+        outcomes.append(brute_force_split(X, y, task=task, min_leaf=min_leaf, features=range(p)))
+    return outcomes
+
+
+class TestFitTreeAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        task=st.sampled_from(["regression", "classification"]),
+        n=st.integers(min_value=1, max_value=12),
+        p=st.integers(min_value=1, max_value=4),
+        min_leaf=st.sampled_from([1, 2, 3]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_depth_one_split_matches_exhaustive_search(self, data, task, n, p, min_leaf, seed):
+        # Half-unit feature values from a small range force duplicates.
+        cells = st.integers(min_value=-3, max_value=3).map(lambda v: v / 2.0)
+        row = st.lists(cells, min_size=p, max_size=p)
+        X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        labels = st.integers(-4, 4) if task == "regression" else st.integers(0, 2)
+        y = np.array(data.draw(st.lists(labels, min_size=n, max_size=n)))
+        mtry = data.draw(st.none() | st.integers(min_value=1, max_value=p))
+        assume(n >= min_leaf)
+        kwargs = {"n_classes": 3} if task == "classification" else {}
+        if mtry is not None:
+            kwargs.update(mtry=mtry, rng=np.random.default_rng(seed))
+        root = fit_tree(X, y, task=task, max_depth=1, min_leaf=min_leaf, **kwargs)
+
+        split = root.feature[0] != -1
+        fitted_gain = root.gain[0] if split else 0.0
+        matched = []
+        for best, runner_up in _depth_one_outcomes(X, y, task, min_leaf, mtry, seed):
+            best_gain = best[0] if best is not None else 0
+            if abs(fitted_gain - float(best_gain)) > 1e-9:
+                continue
+            if best_gain - runner_up > 1e-9:
+                if not split or (root.feature[0], root.threshold[0]) != best[1:]:
+                    continue
+            matched.append(best)
+        assert matched, (root.feature[0], root.threshold[0], fitted_gain)
