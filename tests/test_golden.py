@@ -48,6 +48,14 @@ CASES = {
             "report.json": "3d8633d0b0fe59ae461f8aea2940fd8c642b1b0c50dcadad985726ea2cfe0755",
         },
     ),
+    "zone-rssi-knn": (
+        ["zone-rssi", "--data", "{rssi}"],
+        {
+            "confusion.md": "92a6328e6d61dd22b185ef658dc35e54612e71966152ae6025cf07dfd8de95ef",
+            "predictions.csv": "4b723c8f9a5e5dff91a3f1c9814c0b36444a86191fcb37c9d207e9368efc36d6",
+            "report.json": "6af2dae5ac3f6bba3a30e43076d4c675b0f05335b7d99dac95b0030dc233402d",
+        },
+    ),
     "coords-forest": (
         ["coords", "--data", "{beacon}"],
         {
@@ -62,6 +70,14 @@ CASES = {
             "predictions_x.csv": "a77b96826e43a5001bca94b9945ce251aa1b076e7c8e925c9215498bb92b5e67",
             "predictions_y.csv": "b77924eb180775589c2ea6e646927d04f2a5f328ceaf0e4df336fd3fae9ff75f",
             "report.json": "e2e8d9933e5e5810e368dc0082a91d50aa7fb544a0d1fe359da3076fb27eae7e",
+        },
+    ),
+    "coords-knn": (
+        ["coords", "--data", "{beacon}", "--model", "knn"],
+        {
+            "predictions_x.csv": "26ac0bfe9b979a8ec1ddce5ee1a679805853a1be116006a1ef65fd32d50c8fdc",
+            "predictions_y.csv": "0c4249947a49802061d9f8c7a7649b970469f2bdf222f1339847dcc7ae44122f",
+            "report.json": "4cd8bfadd3e73776be41210f4690f03155ac3d6610969a136d9fb9b9e782c55e",
         },
     ),
     "compare-all": (
