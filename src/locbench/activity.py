@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .data import ValidationError
+from .data import ParseError, ValidationError
 
 WEIGHT_SUM_TOL = 1e-6
 COMPLETION_TOL = 1e-9
@@ -283,7 +283,11 @@ class ParseFailure(ValueError):
 
 def load_activity_models(path) -> list[ComplexActivityModel]:
     with open(path, encoding="utf-8") as handle:
-        return parse_activity_models(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: file is not UTF-8 text") from None
+    return parse_activity_models(text)
 
 
 def bundled_models_path():

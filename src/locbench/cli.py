@@ -197,16 +197,20 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _read_error_column(path) -> list[float]:
     values = []
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            cell = line.strip().split(",")[0]
-            if not cell:
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: file is not UTF-8 text") from None
+    for line_no, line in enumerate(lines, start=1):
+        cell = line.strip().split(",")[0]
+        if not cell:
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            if line_no == 1:  # tolerate a header line
                 continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if line_no == 1:  # tolerate a header line
-                    continue
-                raise ParseError(f"row {line_no}: non-numeric error value {cell!r}") from None
+            raise ParseError(f"row {line_no}: non-numeric error value {cell!r}") from None
     if not values:
         raise ValidationError(f"{path}: no numeric error values found")
     return values

@@ -7,6 +7,9 @@ Each iteration proposes a subgradient step and backtracks (halving the
 step) until the objective does not increase, so the recorded objective
 trajectory is non-increasing by construction.  The optimizer runs a
 fixed iteration budget and is deterministic.
+
+The RBF kernel matrix is dense, n x n float64, so the RBF kernel accepts
+at most ``_RBF_MAX_ROWS`` training rows (5,000: a 200 MB matrix).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .base import TrainingDivergedError
 
 _STEP_GROW = 1.3
 _MAX_HALVINGS = 50
+_RBF_MAX_ROWS = 5000
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -69,6 +73,11 @@ def fit_svr(
         raise ValidationError(f"unknown kernel {kernel!r}")
 
     n, p = X.shape
+    if kernel == "rbf" and n > _RBF_MAX_ROWS:
+        raise ValidationError(
+            f"the rbf kernel is limited to {_RBF_MAX_ROWS} training rows "
+            f"(its kernel matrix is n x n), got {n}"
+        )
     if kernel == "rbf":
         gamma = gamma if gamma is not None else 1.0 / p
         K = _rbf_kernel(X, X, gamma)

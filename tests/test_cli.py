@@ -242,6 +242,18 @@ class TestMetrics:
         ) == 1
 
 
+    def test_non_utf8_error_file_exits_one(self, tmp_path, capsys):
+        ex = tmp_path / "ex.csv"
+        ey = tmp_path / "ey.csv"
+        ex.write_bytes("error\n1\ncaf\xe9\n".encode("latin-1"))
+        ey.write_text("error\n1\n")
+        code = run(
+            ["metrics", "--errors-x", str(ex), "--errors-y", str(ey), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ex}: file is not UTF-8 text\n"
+
+
 class TestValidateActivities:
     def test_bundled_fixtures_pass(self, capsys, tmp_path):
         assert run(["validate-activities", "--out-dir", str(tmp_path)]) == 0
@@ -265,6 +277,13 @@ class TestValidateActivities:
         code = run(["validate-activities", "--file", str(path), "--out-dir", str(tmp_path)])
         assert code == 1
         assert "no models found" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("model: caf\xe9\nthreshold: 0.9\n".encode("latin-1"))
+        code = run(["validate-activities", "--file", str(path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: file is not UTF-8 text\n"
 
 
 class TestCliBasics:
@@ -334,3 +353,34 @@ class TestBadArguments:
         code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {data}: file is not UTF-8 text\n"
+
+
+class TestRbfSvrRowLimit:
+    """The RBF SVR rejects more than 5,000 training rows (an n x n kernel);
+    7,200 rows leave 5,040 for training at the default 0.7 split."""
+
+    @pytest.fixture(scope="class")
+    def large_beacon_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("large") / "beacons.csv"
+        assert run(["synth", "--kind", "beacon", "--rows", "7200", "--out", str(path)]) == 0
+        return path
+
+    def test_coords_svr_exits_one(self, large_beacon_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["coords", "--data", str(large_beacon_csv), "--model", "svr"]
+        code = run(argv + ["--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the rbf kernel is limited to 5000 training rows")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_records_failed_cell(self, large_beacon_csv, tmp_path):
+        out = tmp_path / "out"
+        argv = ["compare", "--data", str(large_beacon_csv), "--families", "svr,linear_regression"]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        aggregate = json.loads((out / "report.json").read_text())["aggregate"]
+        assert aggregate["Support Vector Machine"]["failed"].startswith(
+            "failed: the rbf kernel is limited to 5000 training rows"
+        )
+        assert "failed" not in aggregate["Linear Regression"]

@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from locbench.cli import run_cli
+from locbench.learners import neighbors
 
 FAMILIES = "knn,decision_tree,random_forest,gbt,linear_regression,svr,ann,deep_learning"
 
@@ -103,14 +104,23 @@ def inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_hashes(case, inputs, tmp_path, capsys):
-    template, expected = CASES[case]
-    out = tmp_path / "out"
+def report_hashes(case, inputs, out, capsys):
+    template, _ = CASES[case]
     argv = [arg.format(**inputs) for arg in template] + ["--out-dir", str(out)]
     assert run_cli(argv) == 0, capsys.readouterr().err
-    actual = {
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
-    assert actual == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_hashes(case, inputs, tmp_path, capsys):
+    assert report_hashes(case, inputs, tmp_path / "out", capsys) == CASES[case][1]
+
+
+@pytest.mark.parametrize("case", ["coords-knn", "compare-all", "zone-rssi-knn"])
+def test_knn_hashes_with_one_query_per_block(case, inputs, tmp_path, capsys, monkeypatch):
+    # A one-element budget makes every query row its own distance block.
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 1)
+    assert report_hashes(case, inputs, tmp_path / "out", capsys) == CASES[case][1]

@@ -81,3 +81,16 @@ class TestSvrValidation:
             fit_svr(X, y, epsilon=-0.1)
         with pytest.raises(ValidationError):
             fit_svr(X, y, kernel="poly")
+
+    def test_rbf_row_limit(self, monkeypatch):
+        from locbench.learners import svr
+
+        assert svr._RBF_MAX_ROWS == 5000
+        with pytest.raises(ValidationError, match="limited to 5000 training rows"):
+            fit_svr(np.zeros((5001, 2)), np.zeros(5001))
+        monkeypatch.setattr(svr, "_RBF_MAX_ROWS", 20)
+        fit_svr(np.zeros((20, 2)), np.zeros(20), max_iter=1)
+        with pytest.raises(ValidationError, match="limited to 20 training rows"):
+            fit_svr(np.zeros((21, 2)), np.zeros(21), max_iter=1)
+        # The linear kernel keeps no n x n matrix and has no limit.
+        fit_svr(np.zeros((21, 2)), np.zeros(21), kernel="linear", max_iter=1)
