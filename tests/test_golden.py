@@ -3,15 +3,20 @@
 Every report file a run writes is pinned by its SHA-256, so a change that
 claims to keep outputs byte-identical (a faster tree, a new data layout)
 is checked against the exact bytes, not a tolerance.  Inputs are ~120-row
-``synth`` files generated with fixed seeds.  A change that alters these
-hashes on purpose must name and justify the new values in CHANGES.md.
+``synth`` files generated with fixed seeds, plus a tie-heavy scanner file
+whose readings take three coarse levels and whose labels disagree on
+identical readings, so the k-NN tie rule decides its predictions.  A
+change that alters these hashes on purpose must name and justify the new
+values in CHANGES.md.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from locbench.cli import run_cli
+from locbench.data import RSSI_COLUMNS, ZONES
 from locbench.learners import neighbors
 
 FAMILIES = "knn,decision_tree,random_forest,gbt,linear_regression,svr,ann,deep_learning"
@@ -81,6 +86,56 @@ CASES = {
             "report.json": "4cd8bfadd3e73776be41210f4690f03155ac3d6610969a136d9fb9b9e782c55e",
         },
     ),
+    "zone-rssi-k3": (
+        ["zone-rssi", "--data", "{rssi}", "--k", "3"],
+        {
+            "confusion.md": "92a6328e6d61dd22b185ef658dc35e54612e71966152ae6025cf07dfd8de95ef",
+            "predictions.csv": "4b723c8f9a5e5dff91a3f1c9814c0b36444a86191fcb37c9d207e9368efc36d6",
+            "report.json": "ded8faa2ecd94cfa6ac3447538b9d0139867caecde9ea4c40e0855374880b628",
+        },
+    ),
+    "zone-rssi-ties": (
+        ["zone-rssi", "--data", "{ties}"],
+        {
+            "confusion.md": "145d251a42728ac8f4d1be72d08d2caae6b0bc0c179b369a5f722921c2e98cac",
+            "predictions.csv": "9ef3bf17fc8e8e457f38c777890f9169cde9364392112041f77b9335dfa7f1a5",
+            "report.json": "39fce86c320fa741974df0aa4f15c04823afdae8660173afdfce333a8ba4c980",
+        },
+    ),
+    "zone-imu-tree-depth": (
+        ["zone-imu", "--data", "{imu}", "--model", "decision_tree", "--depth", "4"],
+        {
+            "confusion.md": "8c66997c5d7b1d969543acbb8374b3110d5417a39a79cc3d7e662ec129cb3235",
+            "predictions.csv": "91d2d9daae81c82f23edcf7a1db93c6c6714e2b005ce44435369213ebdda92f5",
+            "report.json": "9cdb5e15dbc2e21409f73af9648f37a874e2a9836b68c2b99f4fd4b6441aa0bb",
+        },
+    ),
+    "coords-gbt-flags": (
+        ["coords", "--data", "{beacon}", "--model", "gbt"]
+        + ["--trees", "20", "--depth", "3", "--rate", "0.3"],
+        {
+            "predictions_x.csv": "e451243e615ed0d6a0007df1b9d8b78bb933571d260a432d529fb67604a33419",
+            "predictions_y.csv": "2c9fc6c1bd25e9254c7e24edb6790a23a7bfb6d984d7e7df1d289da79680cfcc",
+            "report.json": "bc0a4b804aa82e9711d4d1b14cc180767bda1a1e18878b4b6962798c6f34f1b2",
+        },
+    ),
+    "coords-ann-flags": (
+        ["coords", "--data", "{beacon}", "--model", "ann", "--layers", "7,3", "--rate", "0.05"],
+        {
+            "predictions_x.csv": "f9ee9bfb493145ede83fe936658ed255aa38521d069d0c268a31af997cf77ede",
+            "predictions_y.csv": "8f3dca50bb1328cf5f5edc8f4ba80440a245ea84db4249cce89ce8c998dd6ede",
+            "report.json": "e5c46ad8dfd8454a64a18f3bc55764a3b01d3f11d8bed7bbb6976a6dcc6b5720",
+        },
+    ),
+    "coords-svr-flags": (
+        ["coords", "--data", "{beacon}", "--model", "svr"]
+        + ["--c", "2", "--epsilon", "0.2", "--gamma", "0.5"],
+        {
+            "predictions_x.csv": "716f47454d200c4bc135bc18843636d7ede89a9550f0b41535310b3f5d05a647",
+            "predictions_y.csv": "aa563e5d4db1ba28e31f78d51733895566574ffe7ee8626cfdcaae174b0a8a1e",
+            "report.json": "759662c87b1a6fa3542e9e9de10a9a0384948871235c298335fa935145938125",
+        },
+    ),
     "compare-all": (
         ["compare", "--data", "{beacon}", "--seeds", "42", "--families", FAMILIES],
         {
@@ -101,6 +156,13 @@ def inputs(tmp_path_factory):
         argv = ["synth", "--kind", kind, "--rows", "120", "--seed", str(seed), "--out", str(path)]
         assert run_cli(argv) == 0
         paths[kind] = str(path)
+    rng = np.random.default_rng(14)
+    readings = rng.choice([-120, -90, -60], size=(120, len(ZONES)))
+    labels = rng.choice(ZONES, size=120)
+    lines = [",".join(RSSI_COLUMNS)]
+    lines += [",".join(map(str, r)) + f",{z}" for r, z in zip(readings.tolist(), labels)]
+    (root / "ties.csv").write_text("\n".join(lines) + "\n")
+    paths["ties"] = str(root / "ties.csv")
     return paths
 
 
@@ -119,7 +181,9 @@ def test_report_hashes(case, inputs, tmp_path, capsys):
     assert report_hashes(case, inputs, tmp_path / "out", capsys) == CASES[case][1]
 
 
-@pytest.mark.parametrize("case", ["coords-knn", "compare-all", "zone-rssi-knn"])
+@pytest.mark.parametrize(
+    "case", ["coords-knn", "compare-all", "zone-rssi-knn", "zone-rssi-k3", "zone-rssi-ties"]
+)
 def test_knn_hashes_with_one_query_per_block(case, inputs, tmp_path, capsys, monkeypatch):
     # A one-element budget makes every query row its own distance block.
     monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 1)
