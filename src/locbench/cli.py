@@ -30,7 +30,7 @@ from .data import (
     write_csv,
 )
 from .evaluation import horizontal_error, rmse
-from .learners import CLASSIFIER_FAMILIES, FAMILIES, LearnerSpec, TrainingDivergedError
+from .learners import CLASSIFIER_FAMILIES, FAMILIES, PARAMS, LearnerSpec, TrainingDivergedError
 from .pipelines import (
     PipelineConfig,
     compare_models,
@@ -75,20 +75,17 @@ def _add_common(parser, default_ratio: float | None = None) -> None:
         )
 
 
+#: The hyperparameters exposed as flags; the rest are set through LearnerSpec.
+_LEARNER_FLAGS = ("k", "trees", "depth", "rate", "layers", "c", "epsilon", "gamma")
+
+
 def _add_learner_flags(parser, default_model: str, choices=FAMILIES) -> None:
     parser.add_argument(
         "--model", choices=choices, default=default_model, help="learner family"
     )
-    parser.add_argument("--k", type=int, default=None, help="neighbors (knn)")
-    parser.add_argument("--trees", type=int, default=None, help="ensemble size")
-    parser.add_argument("--depth", type=int, default=None, help="maximum tree depth")
-    parser.add_argument("--rate", type=float, default=None, help="learning rate")
-    parser.add_argument(
-        "--layers", default=None, help="hidden layer sizes, comma separated (ann/deep_learning)"
-    )
-    parser.add_argument("--c", type=float, default=None, help="penalty weight (svr)")
-    parser.add_argument("--epsilon", type=float, default=None, help="insensitive band (svr)")
-    parser.add_argument("--gamma", type=float, default=None, help="rbf width (svr)")
+    for name in _LEARNER_FLAGS:
+        param = PARAMS[name]
+        parser.add_argument(f"--{name}", type=param.parse, default=None, help=param.help)
 
 
 def build_parser() -> _Parser:
@@ -154,18 +151,9 @@ def _resolve_out_dir(args) -> str:
 
 
 def _learner_spec(args) -> LearnerSpec:
-    params = {}
-    for key in ("k", "trees", "depth", "rate", "c", "epsilon", "gamma"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "layers", None):
-        try:
-            params["layers"] = tuple(int(v) for v in args.layers.split(",") if v)
-        except ValueError:
-            raise CliUsageError(
-                f"--layers expects comma-separated integers, got {args.layers!r}"
-            ) from None
+    params = {
+        name: getattr(args, name) for name in _LEARNER_FLAGS if getattr(args, name) is not None
+    }
     return LearnerSpec(family=args.model, seed=args.seed, params=params)
 
 
@@ -346,6 +334,8 @@ def _cmd_validate_activities(args) -> int:
 def _cmd_synth(args) -> int:
     if args.rows < 0:
         raise CliUsageError(f"--rows must be >= 0, got {args.rows}")
+    if args.seed < 0:
+        raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
     _echo_config(args)
     if args.kind == "beacon":
         dataset = synthetic_walk_dataset(

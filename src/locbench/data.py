@@ -490,8 +490,8 @@ def generate_synthetic_walk(
     cross = (b[1] - b[0])[0] * (b[2] - b[0])[1] - (b[1] - b[0])[1] * (b[2] - b[0])[0]
     if abs(cross) < 1e-6:
         raise ValidationError("beacons are collinear; trilateration geometry is degenerate")
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     w = np.asarray(waypoints, dtype=float)
     if w.ndim != 2 or w.shape[1] != 2:
         raise ValidationError(f"waypoints must be (n, 2), got shape {w.shape}")

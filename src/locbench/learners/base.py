@@ -1,8 +1,8 @@
-"""Shared learner plumbing: feature matrices, standardization, specs."""
+"""Shared learner plumbing: feature matrices, standardization, predictions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -100,147 +100,3 @@ def prediction_from_scores(
     return PredictionWithConfidence(
         label=label, confidence={c: float(s) for c, s in zip(classes, scores)}
     )
-
-
-# --------------------------------------------------------------------------
-# Learner specifications
-# --------------------------------------------------------------------------
-
-FAMILIES = (
-    "random_forest",
-    "ann",
-    "decision_tree",
-    "svr",
-    "knn",
-    "gbt",
-    "deep_learning",
-    "linear_regression",
-)
-
-#: Families usable for zone classification (the rest are regression-only).
-CLASSIFIER_FAMILIES = ("knn", "decision_tree", "random_forest", "ann", "deep_learning")
-
-_DEFAULTS: dict[str, dict] = {
-    "knn": {"k": 5},
-    "decision_tree": {"depth": 10, "min_leaf": 1},
-    "random_forest": {"trees": 100, "depth": 10, "min_leaf": 1},
-    "gbt": {"trees": 100, "depth": 5, "rate": 0.1, "min_leaf": 1},
-    "linear_regression": {},
-    "svr": {"c": 1.0, "epsilon": 0.1, "kernel": "rbf", "gamma": None, "iters": 500},
-    "ann": {"layers": (10,), "activation": "sigmoid", "epochs": 500, "rate": 0.1, "batch": 16},
-    "deep_learning": {
-        "layers": (50, 50),
-        "activation": "relu",
-        "epochs": 300,
-        "rate": 0.01,
-        "batch": 16,
-    },
-}
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    """One learner family plus hyperparameter overrides and a seed.
-
-    ``params`` holds only the values that differ from the family defaults;
-    :meth:`resolved` merges them.
-    """
-
-    family: str
-    seed: int = 42
-    params: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValidationError(
-                f"unknown learner family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        unknown = set(self.params) - set(_DEFAULTS[self.family])
-        if unknown:
-            raise ValidationError(
-                f"{self.family} does not accept parameter(s): {', '.join(sorted(unknown))}"
-            )
-        _validate_params(self.family, self.resolved())
-
-    def resolved(self) -> dict:
-        merged = dict(_DEFAULTS[self.family])
-        merged.update(self.params)
-        return merged
-
-    def to_text(self) -> str:
-        """Render as space-separated key=value pairs."""
-        parts = [f"family={self.family}"]
-        for key, value in sorted(self.resolved().items()):
-            if value is None:
-                continue
-            if key == "layers":
-                value = ",".join(str(v) for v in value)
-            parts.append(f"{key}={value}")
-        parts.append(f"seed={self.seed}")
-        return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LearnerSpec":
-        """Parse "family=knn k=3 seed=7"-style key=value pairs."""
-        family = None
-        seed = 42
-        params: dict = {}
-        for token in text.split():
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValidationError(f"malformed token {token!r}; expected key=value")
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "family":
-                family = value
-            elif key == "seed":
-                seed = int(value)
-            elif key == "layers":
-                params[key] = tuple(int(v) for v in value.split(",") if v)
-            elif key in ("kernel", "activation"):
-                params[key] = value
-            elif key in ("k", "trees", "depth", "min_leaf", "epochs", "batch", "iters"):
-                params[key] = int(value)
-            else:
-                params[key] = float(value)
-        if family is None:
-            raise ValidationError("learner text is missing family=...")
-        return cls(family=family, seed=seed, params=params)
-
-
-def _validate_params(family: str, p: dict) -> None:
-    def require(cond: bool, message: str) -> None:
-        if not cond:
-            raise ValidationError(f"{family}: {message}")
-
-    if "k" in p:
-        require(p["k"] >= 1, f"k must be >= 1, got {p['k']}")
-    if "trees" in p:
-        require(p["trees"] >= 1, f"trees must be >= 1, got {p['trees']}")
-    if "depth" in p:
-        require(p["depth"] >= 1, f"depth must be >= 1, got {p['depth']}")
-    if "min_leaf" in p:
-        require(p["min_leaf"] >= 1, f"min_leaf must be >= 1, got {p['min_leaf']}")
-    for key in ("epochs", "batch", "iters"):
-        if key in p:
-            require(p[key] >= 1, f"{key} must be >= 1, got {p[key]}")
-    if "rate" in p:
-        require(0.0 < p["rate"] <= 1.0, f"rate must be in (0, 1], got {p['rate']}")
-    if "layers" in p:
-        require(
-            len(p["layers"]) >= 1 and all(s >= 1 for s in p["layers"]),
-            f"layer sizes must all be >= 1, got {p['layers']}",
-        )
-    if "c" in p:
-        require(p["c"] > 0, f"C must be > 0, got {p['c']}")
-    if "epsilon" in p:
-        require(p["epsilon"] >= 0, f"epsilon must be >= 0, got {p['epsilon']}")
-    if "gamma" in p and p["gamma"] is not None:
-        require(p["gamma"] > 0, f"gamma must be > 0, got {p['gamma']}")
-    if "kernel" in p:
-        require(p["kernel"] in ("linear", "rbf"), f"kernel must be linear or rbf, got {p['kernel']}")
-    if "activation" in p:
-        require(
-            p["activation"] in ("sigmoid", "relu"),
-            f"activation must be sigmoid or relu, got {p['activation']}",
-        )

@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .learners import (
     FAMILIES,
+    REGISTRY,
     FeatureMatrix,
     ImportanceReport,
     LearnerSpec,
@@ -53,17 +54,8 @@ RSSI_FEATURES = tuple(f"rssi_{z}" for z in ZONES)
 IMU_FEATURES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
 DISTANCE_FEATURES = ("distance_a", "distance_b", "distance_c")
 
-#: Table-layout display names for the learner families.
-FAMILY_LABELS = {
-    "random_forest": "Random Forest",
-    "ann": "Artificial Neural Network",
-    "decision_tree": "Decision Tree",
-    "svr": "Support Vector Machine",
-    "knn": "k-NN",
-    "gbt": "Gradient Boosted Trees",
-    "deep_learning": "Deep Learning",
-    "linear_regression": "Linear Regression",
-}
+#: Table-layout display names for the learner families, in table order.
+FAMILY_LABELS = {name: family.label for name, family in REGISTRY.items()}
 
 
 @dataclass(frozen=True)
@@ -393,6 +385,12 @@ def compare_models(
     if not seeds:
         raise ValidationError("at least one seed is required")
     specs = tuple(specs) if specs is not None else default_comparison_specs()
+    if not specs:
+        raise ValidationError("at least one learner family is required")
+    families = [s.family for s in specs]
+    repeated = sorted({f for f in families if families.count(f) > 1})
+    if repeated:
+        raise ValidationError(f"learner families repeat: {', '.join(repeated)}")
     features, pos_x, pos_y, times = build_beacon_features(dataset)
 
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}

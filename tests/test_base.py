@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import locbench.learners
 from locbench.data import ValidationError
 from locbench.learners import (
+    FAMILIES,
     FeatureMatrix,
     LearnerSpec,
+    fit_classifier,
+    fit_regressor,
     prediction_from_scores,
     standardize,
 )
@@ -90,6 +94,13 @@ class TestLearnerSpec:
             ("svr", {"c": 0.0}),
             ("svr", {"epsilon": -1.0}),
             ("svr", {"kernel": "poly"}),
+            ("knn", {"k": 2.5}),
+            ("knn", {"k": True}),
+            ("gbt", {"trees": 3.0}),
+            ("ann", {"layers": (2.5,)}),
+            ("svr", {"c": float("inf")}),
+            ("svr", {"epsilon": float("inf")}),
+            ("svr", {"gamma": float("inf")}),
         ],
     )
     def test_out_of_range_parameters_rejected(self, family, params):
@@ -120,6 +131,93 @@ class TestLearnerSpec:
             LearnerSpec.from_text("k=3")
         with pytest.raises(ValidationError, match="key=value"):
             LearnerSpec.from_text("family=knn k")
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [("family=knn k=abc", "k"), ("family=knn seed=x", "seed"), ("family=knn foo=bar", "foo")],
+    )
+    def test_from_text_bad_value_names_the_key(self, text, key):
+        with pytest.raises(ValidationError, match=rf"\b{key}\b"):
+            LearnerSpec.from_text(text)
+
+
+# The keywords each family's fit function received from the per-family
+# if-chains that the registry replaced, for a spec with seed 7 and 4 classes.
+_MLP = {"activation": "sigmoid", "epochs": 500, "rate": 0.1, "batch_size": 16, "seed": 7}
+_DEEP = {"activation": "relu", "epochs": 300, "rate": 0.01, "batch_size": 16, "seed": 7}
+_FOREST = {"n_trees": 100, "max_depth": 10, "min_leaf": 1, "seed": 7}
+DISPATCH = {
+    ("knn", "regression"): ("fit_knn", {"k": 5, "task": "regression"}),
+    ("knn", "classification"): ("fit_knn", {"k": 5, "task": "classification", "n_classes": 4}),
+    ("decision_tree", "regression"): (
+        "fit_tree",
+        {"task": "regression", "max_depth": 10, "min_leaf": 1},
+    ),
+    ("decision_tree", "classification"): (
+        "fit_tree",
+        {"task": "classification", "max_depth": 10, "min_leaf": 1, "n_classes": 4},
+    ),
+    ("random_forest", "regression"): ("fit_forest", {"task": "regression", **_FOREST}),
+    ("random_forest", "classification"): (
+        "fit_forest",
+        {"task": "classification", "n_classes": 4, **_FOREST},
+    ),
+    ("gbt", "regression"): (
+        "fit_gbt",
+        {"n_trees": 100, "max_depth": 5, "rate": 0.1, "min_leaf": 1},
+    ),
+    ("linear_regression", "regression"): ("fit_ols", {}),
+    ("svr", "regression"): (
+        "fit_svr",
+        {"C": 1.0, "epsilon": 0.1, "kernel": "rbf", "gamma": None, "max_iter": 500},
+    ),
+    ("ann", "regression"): ("fit_mlp", {"hidden": (10,), "task": "regression", **_MLP}),
+    ("ann", "classification"): (
+        "fit_mlp",
+        {"hidden": (10,), "task": "classification", "n_classes": 4, **_MLP},
+    ),
+    ("deep_learning", "regression"): (
+        "fit_mlp",
+        {"hidden": (50, 50), "task": "regression", **_DEEP},
+    ),
+    ("deep_learning", "classification"): (
+        "fit_mlp",
+        {"hidden": (50, 50), "task": "classification", "n_classes": 4, **_DEEP},
+    ),
+}
+
+
+class TestFitDispatch:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_fit_function_receives_the_keywords(self, family, task, monkeypatch):
+        # The fit function is replaced on the package after import: the
+        # dispatch must look it up at call time, as the benchmark's trace does.
+        calls = []
+
+        def record(name):
+            def stub(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return "model"
+
+            return stub
+
+        for name in {fit for fit, _ in DISPATCH.values()}:
+            monkeypatch.setattr(locbench.learners, name, record(name))
+        spec = LearnerSpec(family, seed=7)
+        X, y = np.zeros((4, 2)), np.zeros(4)
+        if (family, task) not in DISPATCH:
+            with pytest.raises(ValidationError, match="regression-only"):
+                fit_classifier(spec, X, y, n_classes=4)
+            assert calls == []
+            return
+        if task == "regression":
+            assert fit_regressor(spec, X, y) == "model"
+        else:
+            assert fit_classifier(spec, X, y, n_classes=4) == "model"
+        [(name, args, kwargs)] = calls
+        assert args[0] is X and args[1] is y and len(args) == 2
+        assert (name, kwargs) == DISPATCH[family, task]
 
 
 class TestPredictionFromScores:

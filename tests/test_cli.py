@@ -327,6 +327,11 @@ class TestBadArguments:
             ["compare", "--seeds", "abc"],
             ["compare", "--seeds", "1.."],
             ["coords", "--model", "ann", "--layers", "a,b"],
+            ["coords", "--model", "svr", "--c", "inf"],
+            ["coords", "--model", "svr", "--epsilon", "inf"],
+            ["coords", "--model", "svr", "--gamma", "inf"],
+            ["compare", "--families", "knn,knn"],
+            ["compare", "--families", ","],
         ],
     )
     def test_unparsable_values_exit_one(self, argv, beacon_csv, tmp_path, capsys):
@@ -339,6 +344,12 @@ class TestBadArguments:
         out = tmp_path / "s.csv"
         assert run(["synth", "--rows", "-5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --rows must be >= 0, got -5\n"
+        assert not out.exists()
+
+    def test_negative_synth_seed_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["synth", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_directory_as_data_exits_one(self, tmp_path, capsys):

@@ -368,6 +368,11 @@ class TestSyntheticWalk:
         with pytest.raises(ValidationError):
             generate_synthetic_walk(((0, 0), (1, 0), (0, 1)), [(0.5, 0.5)], noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            generate_synthetic_walk(((0, 0), (1, 0), (0, 1)), [(0.5, 0.5)], noise_sigma=sigma)
+
     def test_zero_noise_walk_is_recoverable_by_trilateration(self):
         ds = synthetic_walk_dataset(rows=50, noise_sigma=0.0, seed=4)
         for row in ds.rows:

@@ -284,3 +284,10 @@ class TestCompareModels:
     def test_no_seeds_rejected(self, walk):
         with pytest.raises(ValidationError):
             compare_models(walk, seeds=())
+
+    def test_empty_or_repeated_families_rejected(self, walk):
+        with pytest.raises(ValidationError, match="at least one learner family"):
+            compare_models(walk, specs=())
+        knn = LearnerSpec(family="knn")
+        with pytest.raises(ValidationError, match="repeat: knn"):
+            compare_models(walk, specs=(knn, LearnerSpec(family="linear_regression"), knn))
