@@ -141,8 +141,9 @@ class TestLearnerSpec:
             LearnerSpec.from_text(text)
 
 
-# The keywords each family's fit function received from the per-family
-# if-chains that the registry replaced, for a spec with seed 7 and 4 classes.
+# The fit function and keywords of each family and task, for a spec with
+# seed 7 and 4 classes; a family without a classification entry is
+# regression-only.
 _MLP = {"activation": "sigmoid", "epochs": 500, "rate": 0.1, "batch_size": 16, "seed": 7}
 _DEEP = {"activation": "relu", "epochs": 300, "rate": 0.01, "batch_size": 16, "seed": 7}
 _FOREST = {"n_trees": 100, "max_depth": 10, "min_leaf": 1, "seed": 7}
