@@ -5,7 +5,8 @@ claims to keep outputs byte-identical (a faster tree, a new data layout)
 is checked against the exact bytes, not a tolerance.  Inputs are ~120-row
 ``synth`` files generated with fixed seeds, plus a tie-heavy scanner file
 whose readings take three coarse levels and whose labels disagree on
-identical readings, so the k-NN tie rule decides its predictions.  A
+identical readings, so the k-NN tie rule decides its predictions.  The
+``synth`` input files are pinned too.  A
 change that alters these hashes on purpose must name and justify the new
 values in CHANGES.md.
 """
@@ -147,6 +148,15 @@ CASES = {
 }
 
 
+#: SHA-256 of the ``synth`` CSVs the fixture writes: the writer's float
+#: formatting, the imu ``activity`` column and every generated row.
+SYNTH_HASHES = {
+    "beacon": "a1b888b8a8a74723064edd2bb5d92133d4cad96019fd6ab1fbbdaa8f85114e17",
+    "imu": "8342d881675038aaa199d028d8ad0831234324bcf9b8430b034703ff9713b881",
+    "rssi": "5ac31cbef29e2b0bd51e0d67ef671cf4297f6bbf4f6b51e965acde6880be4c3d",
+}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
@@ -174,6 +184,12 @@ def report_hashes(case, inputs, out, capsys):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
+
+
+@pytest.mark.parametrize("kind", sorted(SYNTH_HASHES))
+def test_synth_csv_hashes(kind, inputs):
+    with open(inputs[kind], "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == SYNTH_HASHES[kind]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
