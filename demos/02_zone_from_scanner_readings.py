@@ -7,7 +7,7 @@ person, so the rule-based inference and a k-NN classifier trained on the
 same data should rarely disagree.
 """
 
-from locbench.data import SplitConfig, split_indices, synthetic_rssi_dataset
+from locbench.data import ZONES, synthetic_rssi_dataset
 from locbench.pipelines import run_zone_rssi, zone_from_rssi_rule
 from locbench.render import confusion_markdown
 
@@ -15,9 +15,9 @@ dataset = synthetic_rssi_dataset(rows=400, seed=7)
 print(f"{len(dataset)} synthetic scanner rows, one visible zone per row\n")
 
 print("rule-based inference on the first five rows:")
-for row in dataset.rows[:5]:
-    readings = "  ".join(f"{z}:{v:6.1f}" for z, v in row.readings.items())
-    print(f"  {readings}  ->  {zone_from_rssi_rule(row)}  (truth: {row.label})")
+for readings, zone in zip(dataset.values[:5], dataset.zones[:5]):
+    shown = "  ".join(f"{z}:{v:6.1f}" for z, v in zip(ZONES, readings))
+    print(f"  {shown}  ->  {zone_from_rssi_rule(readings)}  (truth: {ZONES[zone]})")
 print()
 
 # Stratified 80/20 split, standardized features, k-NN with k=5.
@@ -28,15 +28,12 @@ print(f"k-NN pipeline on {report.matrix.total} held-out rows:")
 print(confusion_markdown(report))
 
 print("first five prediction rows with per-zone confidences:")
-for row in result.rows[:5]:
-    conf = "  ".join(f"{z}={v:.3f}" for z, v in row.confidence.items())
-    print(f"  #{row.row_no}: truth={row.actual:8s} predicted={row.predicted:8s} {conf}")
+rows = zip(result.actual[:5], result.predicted[:5], result.confidence[:5])
+for row_no, (actual, predicted, scores) in enumerate(rows, start=1):
+    conf = "  ".join(f"{z}={v:.3f}" for z, v in zip(ZONES, scores))
+    print(f"  #{row_no}: truth={ZONES[actual]:8s} predicted={ZONES[predicted]:8s} {conf}")
 
-# Apply the rule to the very rows the learner was tested on (the split is
-# deterministic, so the test indices can be recovered).
-_, test_idx = split_indices(
-    len(dataset), SplitConfig(0.8, seed=42, stratified=True), labels=dataset.labels()
-)
-rule_on_test = [zone_from_rssi_rule(dataset.rows[i]) for i in test_idx]
-agree = sum(1 for rule, row in zip(rule_on_test, result.rows) if rule == row.predicted)
-print(f"\nrule vs learned agreement on the test rows: {agree}/{len(result.rows)}")
+# Apply the rule to the very rows the learner was tested on.
+rule_on_test = [zone_from_rssi_rule(dataset.values[i]) for i in result.test_idx]
+agree = sum(1 for rule, pred in zip(rule_on_test, result.predicted) if rule == ZONES[pred])
+print(f"\nrule vs learned agreement on the test rows: {agree}/{len(result.predicted)}")

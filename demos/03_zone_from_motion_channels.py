@@ -8,13 +8,13 @@ forest on the raw channels is the default; an optional window setting
 aggregates consecutive samples into mean+std features instead.
 """
 
-from locbench.data import synthetic_imu_dataset
+from locbench.data import ZONES, synthetic_imu_dataset
 from locbench.pipelines import default_zone_imu_config, run_zone_imu
 from locbench.render import confusion_markdown
 
 dataset = synthetic_imu_dataset(rows=400, seed=11)
 print(f"{len(dataset)} synthetic motion rows in zone-dwelling runs")
-tags = sorted({row.activity for row in dataset.rows})
+tags = sorted(set(dataset.activities))
 print(f"activity tags carried through (never used as features): {tags}\n")
 
 print("=== per-sample features (default) ===")
@@ -26,6 +26,7 @@ windowed = run_zone_imu(dataset, default_zone_imu_config(seed=42, window=5))
 print(confusion_markdown(windowed.report))
 
 print("first five per-sample predictions:")
-for row in result.rows[:5]:
-    conf = "  ".join(f"{z}={v:.3f}" for z, v in row.confidence.items())
-    print(f"  #{row.row_no}: truth={row.actual:8s} predicted={row.predicted:8s} {conf}")
+rows = zip(result.actual[:5], result.predicted[:5], result.confidence[:5])
+for row_no, (actual, predicted, scores) in enumerate(rows, start=1):
+    conf = "  ".join(f"{z}={v:.3f}" for z, v in zip(ZONES, scores))
+    print(f"  #{row_no}: truth={ZONES[actual]:8s} predicted={ZONES[predicted]:8s} {conf}")

@@ -32,8 +32,6 @@ print("   distance_a dominates the x-coordinate model)\n")
 
 print("first five x-coordinate prediction rows:")
 print("  row   actual  predicted   dist_a  dist_b  dist_c")
-for row in result.rows_x[:5]:
-    print(
-        f"  {row.row_no:3d}  {row.actual:7.1f}  {row.predicted:9.2f}"
-        f"  {row.distance_a:6.3f}  {row.distance_b:6.3f}  {row.distance_c:6.3f}"
-    )
+rows = zip(result.actual[:5, 0], result.predicted[:5, 0], result.distances[:5])
+for row_no, (actual, predicted, (a, b, c)) in enumerate(rows, start=1):
+    print(f"  {row_no:3d}  {actual:7.1f}  {predicted:9.2f}  {a:6.3f}  {b:6.3f}  {c:6.3f}")

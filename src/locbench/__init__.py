@@ -20,12 +20,11 @@ from .activity import (
 from .data import (
     IMU_SAMPLE_RATE_HZ,
     RSSI_OUT_OF_RANGE,
+    SCHEMAS,
     ZONES,
-    BeaconDistanceSample,
     Dataset,
-    ImuSample,
     ParseError,
-    RssiSample,
+    Schema,
     SchemaError,
     SplitConfig,
     ValidationError,
@@ -56,7 +55,6 @@ from .learners import (
     FAMILIES,
     FeatureMatrix,
     LearnerSpec,
-    PredictionWithConfidence,
     TrainingDivergedError,
     standardize,
 )

@@ -230,7 +230,7 @@ def _cmd_zone(args, kind: str) -> int:
     payload = render.zone_report_payload(result)
     render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
     render.write_atomic(
-        os.path.join(out_dir, "predictions.csv"), render.zone_predictions_csv(result.rows)
+        os.path.join(out_dir, "predictions.csv"), render.zone_predictions_csv(result)
     )
     confusion = render.confusion_markdown(result.report)
     render.write_atomic(os.path.join(out_dir, "confusion.md"), confusion)
@@ -261,11 +261,11 @@ def _cmd_coords(args) -> int:
     render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
     render.write_atomic(
         os.path.join(out_dir, "predictions_x.csv"),
-        render.coord_predictions_csv(result.rows_x, "x"),
+        render.coord_predictions_csv(result, "x"),
     )
     render.write_atomic(
         os.path.join(out_dir, "predictions_y.csv"),
-        render.coord_predictions_csv(result.rows_y, "y"),
+        render.coord_predictions_csv(result, "y"),
     )
 
     report = result.report
@@ -347,8 +347,6 @@ def _cmd_synth(args) -> int:
         dataset = synthetic_imu_dataset(rows=args.rows, seed=args.seed)
     write_csv(dataset, args.out)
     print(f"wrote {len(dataset)} {args.kind} rows to {args.out}")
-    for note in dataset.ingest_notes:
-        print(f"note: {note}")
     return 0
 
 

@@ -1,15 +1,20 @@
-"""Record types, CSV ingestion, deterministic splitting, and synthetic data.
+"""Sensor tables: one schema table, columnar datasets, CSV I/O, splits and
+synthetic data.
 
-Three observation shapes flow through the toolkit:
+Three tables flow through the toolkit, one per tag in ``SCHEMAS``:
 
-* ``RssiSample``   -- one scanner reading per zone plus the true zone label
-* ``ImuSample``    -- six accelerometer/gyroscope channels plus the label
-* ``BeaconDistanceSample`` -- distances to three fixed beacons (meters) plus
-  the ground-truth position (centimeters) and an opaque timestamp
+* ``rssi``   -- one scanner reading per zone plus the true zone label
+* ``imu``    -- six accelerometer/gyroscope channels, the label and an
+  optional free-text activity tag
+* ``beacon`` -- the ground-truth position (centimeters), distances to three
+  fixed beacons (meters) and an opaque timestamp
 
-All records are frozen dataclasses and safe to share between threads.
-CSV is the only ingestion format: comma-separated, dot decimal point,
-header-driven with case-insensitive, order-free column matching.
+A ``Dataset`` holds one table by column: a read-only float matrix of the
+numeric columns in schema order, the zone labels as indices into
+``ZONES`` and the text columns as tuples.  Datasets are frozen and safe to
+share between threads.  CSV is the only ingestion format: comma-separated,
+dot decimal point, header-driven with case-insensitive, order-free column
+matching.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-
 #: The four activity-based zones, in the fixed order used everywhere
 #: (report columns, confidence vectors, tie-breaking).
 ZONES: tuple[str, str, str, str] = ("bedroom", "kitchen", "office", "toilet")
@@ -55,98 +60,156 @@ def parse_zone(text: str) -> str:
     return zone
 
 
-@dataclass(frozen=True)
-class RssiSample:
-    """Scanner readings for all four zones plus the true zone label.
-
-    ``readings`` maps zone name to a dBm-like value in [-120, 0];
-    exactly -120 means that scanner did not see the beacon.
-    """
-
-    readings: Mapping[str, float]
-    label: str
-
-    def vector(self) -> np.ndarray:
-        """Readings as a length-4 array in canonical zone order."""
-        return np.array([self.readings[z] for z in ZONES], dtype=float)
+# --------------------------------------------------------------------------
+# The schema table
+# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One accelerometer/gyroscope observation with its zone label.
+class TextColumn:
+    """A text column: the ``Dataset`` attribute it fills and how a cell maps.
 
-    Channel units are taken as-is from the source (treated as unitless
-    features). ``activity`` is an optional free-text tag such as
-    "sleeping"; it is carried through reports but never used as a feature.
+    ``read`` turns one cell into the stored value and may raise
+    ``ParseError``; ``write`` turns a stored value back into a cell.
     """
 
-    acc_x: float
-    acc_y: float
-    acc_z: float
-    gyro_x: float
-    gyro_y: float
-    gyro_z: float
-    label: str
-    activity: str | None = None
-
-    def channels(self) -> np.ndarray:
-        """The six channels as an array (acc x/y/z then gyro x/y/z)."""
-        return np.array(
-            [self.acc_x, self.acc_y, self.acc_z, self.gyro_x, self.gyro_y, self.gyro_z],
-            dtype=float,
-        )
+    name: str
+    attr: str
+    read: Callable[[str], object]
+    write: Callable[[object], str]
 
 
 @dataclass(frozen=True)
-class BeaconDistanceSample:
-    """Distances to the three reference beacons plus the true position.
+class Schema:
+    """The columns of one sensor table and the range rule of its readings.
 
-    Positions are centimeters (source resolution +/- 1 cm), distances are
-    meters. A distance of exactly 0.0 is accepted and kept verbatim --
-    the source data contains such rows and they are treated as real
-    readings, not dropped. ``time`` is opaque text preserved verbatim.
+    ``numeric`` columns fill the dataset's float matrix in this order.
+    ``text`` columns are required; an ``optional`` column may be absent,
+    and then every one of its cells reads as empty.  The range rule holds
+    each column of ``ranged`` to [``low``, ``high``]; ``ranged`` maps the
+    column to the name ``range_error`` gives it.  ``zero_note``, if set,
+    is the ingest note counting rows with a ranged reading of exactly 0.
     """
 
-    position_x: float
-    position_y: float
-    distance_a: float
-    distance_b: float
-    distance_c: float
-    time: str = ""
+    numeric: tuple[str, ...]
+    text: tuple[TextColumn, ...]
+    optional: tuple[TextColumn, ...] = ()
+    ranged: Mapping[str, str] = field(default_factory=dict)
+    low: float = -math.inf
+    high: float = math.inf
+    range_error: str = ""
+    zero_note: str | None = None
 
-    def distances(self) -> np.ndarray:
-        return np.array([self.distance_a, self.distance_b, self.distance_c], dtype=float)
+    @property
+    def required(self) -> tuple[str, ...]:
+        return self.numeric + tuple(col.name for col in self.text)
+
+
+_TIME = TextColumn("time", "times", read=str, write=str)  # opaque, kept verbatim
+_LOCATION = TextColumn(
+    "location", "zones", read=lambda cell: ZONES.index(parse_zone(cell)), write=ZONES.__getitem__
+)
+_ACTIVITY = TextColumn(
+    "activity", "activities", read=lambda cell: cell.strip() or None, write=lambda tag: tag or ""
+)
+
+_DISTANCES = ("distance_a", "distance_b", "distance_c")
+
+#: Every sensor table, by schema tag.  Positions are centimeters (source
+#: resolution +/- 1 cm) and distances meters; a distance of exactly 0.0 is
+#: a real reading, kept and counted.  A scanner reading of exactly -120
+#: means that scanner did not see the beacon.  Motion channels are
+#: unitless features; the activity tag is never used as a feature.
+SCHEMAS: dict[str, Schema] = {
+    "beacon": Schema(
+        numeric=("position_x", "position_y") + _DISTANCES,
+        text=(_TIME,),
+        ranged={name: name for name in _DISTANCES},
+        low=0.0,
+        range_error="negative distance in column {name!r}",
+        zero_note="{} row(s) contain a zero distance reading, kept verbatim",
+    ),
+    "rssi": Schema(
+        numeric=tuple(f"rssi_{z}" for z in ZONES),
+        text=(_LOCATION,),
+        ranged={f"rssi_{z}": z for z in ZONES},
+        low=RSSI_OUT_OF_RANGE,
+        high=0.0,
+        range_error="reading {value} for zone {name!r} outside [{low:.0f}, {high:.0f}]",
+    ),
+    "imu": Schema(
+        numeric=("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z"),
+        text=(_LOCATION,),
+        optional=(_ACTIVITY,),
+    ),
+}
+
+
+def _schema(schema_tag: str) -> Schema:
+    schema = SCHEMAS.get(schema_tag)
+    if schema is None:
+        raise ValidationError(f"unknown schema tag {schema_tag!r}")
+    return schema
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, homogeneous sequence of one record kind.
+    """One sensor table, stored by column.
 
-    ``schema_tag`` is one of "rssi", "imu", "beacon".  Row order is
-    preserved from the source.  ``ingest_notes`` carries non-fatal
-    observations made while parsing (e.g. zero-distance readings).
+    ``values`` is a read-only float64 (rows x numeric columns) matrix in
+    the schema's column order.  ``zones`` holds the zone labels as indices
+    into ``ZONES`` (rssi, imu), ``times`` the timestamps (beacon) and
+    ``activities`` the activity tags, None where blank (imu); a field the
+    schema lacks stays empty, and empty imu ``activities`` mean no tags.
+    Row order is preserved from the source.  ``ingest_notes`` carries
+    non-fatal observations made while parsing (e.g. zero-distance
+    readings).
     """
 
-    rows: tuple
     schema_tag: str
+    values: np.ndarray
+    zones: np.ndarray | Sequence[int] = ()
+    times: tuple[str, ...] = ()
+    activities: tuple[str | None, ...] = ()
     source: str = "synthetic"
     ingest_notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.schema_tag not in ("rssi", "imu", "beacon"):
-            raise ValidationError(f"unknown schema tag {self.schema_tag!r}")
+        schema = _schema(self.schema_tag)
+        values = np.array(self.values, dtype=float)
+        if values.size == 0:
+            values = values.reshape(0, len(schema.numeric))
+        if values.ndim != 2 or values.shape[1] != len(schema.numeric):
+            raise ValidationError(
+                f"{self.schema_tag} values must be (rows, {len(schema.numeric)}), "
+                f"got shape {values.shape}"
+            )
+        values.setflags(write=False)
+        zones = np.array(self.zones, dtype=np.intp).reshape(-1)
+        if ((zones < 0) | (zones >= len(ZONES))).any():
+            raise ValidationError(f"zone indices must lie in 0..{len(ZONES) - 1}")
+        zones.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "zones", zones)
+        object.__setattr__(self, "times", tuple(self.times))
+        object.__setattr__(self, "activities", tuple(self.activities))
+        for col in schema.optional:  # an absent optional column reads as empty cells
+            if not getattr(self, col.attr):
+                object.__setattr__(self, col.attr, (col.read(""),) * len(values))
+        for col in schema.text + schema.optional:
+            if len(getattr(self, col.attr)) != len(values):
+                raise ValidationError(
+                    f"{len(getattr(self, col.attr))} {col.attr} for {len(values)} rows"
+                )
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.rows)
+        return len(self.values)
 
     def labels(self) -> list[str]:
         """Zone labels for rssi/imu datasets."""
         if self.schema_tag == "beacon":
             raise ValidationError("beacon datasets carry coordinates, not zone labels")
-        return [row.label for row in self.rows]
+        return [ZONES[i] for i in self.zones]
 
 
 @dataclass(frozen=True)
@@ -170,49 +233,92 @@ class SplitConfig:
 
 
 # --------------------------------------------------------------------------
-# CSV parsing
+# CSV parsing and writing
 # --------------------------------------------------------------------------
-
-BEACON_COLUMNS = ("position_x", "position_y", "distance_a", "distance_b", "distance_c", "time")
-RSSI_COLUMNS = ("rssi_bedroom", "rssi_kitchen", "rssi_office", "rssi_toilet", "location")
-IMU_COLUMNS = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z", "location")
-IMU_OPTIONAL_COLUMNS = ("activity",)
 
 
 def _normalize_column(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
 
 
-def _read_rows(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
-    """Read a CSV file into (normalized header -> index, numbered data rows).
+def _read_rows(path) -> tuple[dict[str, int], list[list[str]]]:
+    """Read a CSV file into (normalized header -> index, the lines after it).
 
-    Row numbers are physical 1-based line positions (the header is row 1),
-    so error messages can be matched against the file directly.
+    Blank lines stay in the list as empty records, so line ``i`` of it is
+    physical line ``i + 2`` of the file (the header is row 1) and error
+    messages can be matched against the file directly.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
-            rows = [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
+            lines = list(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
         except UnicodeDecodeError:
             raise ParseError(f"{path}: file is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     columns: dict[str, int] = {}
     for idx, name in enumerate(header):
         norm = _normalize_column(name)
         if norm and norm not in columns:
             columns[norm] = idx
-    return columns, rows
+    return columns, lines
 
 
-def _require_columns(columns: Mapping[str, int], required: Iterable[str], path) -> None:
-    missing = [name for name in required if name not in columns]
-    if missing:
-        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+def _parse_columns(schema: Schema, columns: Mapping[str, int], records: list[list[str]], text):
+    """The columnar pass: ``Dataset`` fields, or None if any check fails."""
+    n = len(records)
+    last = max(columns[name] for name in schema.numeric + tuple(col.name for col in text))
+    if min(map(len, records), default=last + 1) <= last:
+        return None
+    values = np.empty((n, len(schema.numeric)))
+    for j, name in enumerate(schema.numeric):
+        cells = map(itemgetter(columns[name]), records)
+        try:
+            values[:, j] = np.fromiter(map(float, cells), dtype=float, count=n)
+        except ValueError:
+            return None
+    ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
+    if not np.isfinite(values).all() or ((ranged < schema.low) | (ranged > schema.high)).any():
+        return None
+    fields = {"values": values, "ingest_notes": ()}
+    for col in text:
+        cells = list(map(itemgetter(columns[col.name]), records))
+        try:
+            lookup = {cell: col.read(cell) for cell in set(cells)}
+        except ParseError:
+            return None
+        fields[col.attr] = tuple(map(lookup.__getitem__, cells))
+    zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
+    if schema.zero_note is not None and zero_rows:
+        fields["ingest_notes"] = (schema.zero_note.format(zero_rows),)
+    return fields
 
 
-def _cell(record: list[str], columns: Mapping[str, int], name: str, row: int):
+def _raise_first_fault(schema: Schema, columns: Mapping[str, int], lines, text) -> None:
+    """Walk the rows in file order and raise the first fault (see ``parse_csv``)."""
+    for line_no, record in enumerate(lines, start=2):
+        if not record:
+            continue
+        for name in schema.numeric:
+            value = _float_cell(record, columns, name, line_no)
+            if name in schema.ranged and not (schema.low <= value <= schema.high):
+                message = schema.range_error.format(
+                    value=value, name=schema.ranged[name], low=schema.low, high=schema.high
+                )
+                raise ValidationError(f"row {line_no}: {message}")
+        for col in text:
+            cell = _cell(record, columns, col.name, line_no)
+            try:
+                col.read(cell)
+            except ParseError as exc:
+                raise ParseError(f"row {line_no}: {exc}") from None
+    raise AssertionError("the columnar parse rejected a file with no faulty row")
+
+
+def _cell(record: list[str], columns: Mapping[str, int], name: str, row: int) -> str:
     idx = columns[name]
     if idx >= len(record):
         raise ParseError(f"row {row}: missing value for column {name!r}")
@@ -230,147 +336,57 @@ def _float_cell(record: list[str], columns: Mapping[str, int], name: str, row: i
     return value
 
 
-def parse_beacon_csv(path) -> Dataset:
-    """Load a beacon-distance CSV (positions in cm, distances in meters).
+def parse_csv(path, schema_tag: str) -> Dataset:
+    """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
-    Units are taken as-is.  Zero distances are kept and counted in the
-    dataset's ingest notes.
+    Each column is parsed and checked whole.  If any check fails, the rows
+    are walked in file order and the first faulty row raises.  Within a
+    row the columns are checked in schema order (numeric columns, then
+    text columns, then the optional columns the header has); a numeric
+    cell fails as missing, non-numeric, non-finite, then out of range, a
+    text cell as missing, then as an unknown zone.  Blank lines are
+    skipped but counted in row numbers.
     """
-    columns, records = _read_rows(path)
-    _require_columns(columns, BEACON_COLUMNS, path)
-    rows = []
-    zero_distance_rows = 0
-    for line_no, record in records:
-        sample = BeaconDistanceSample(
-            position_x=_float_cell(record, columns, "position_x", line_no),
-            position_y=_float_cell(record, columns, "position_y", line_no),
-            distance_a=_float_cell(record, columns, "distance_a", line_no),
-            distance_b=_float_cell(record, columns, "distance_b", line_no),
-            distance_c=_float_cell(record, columns, "distance_c", line_no),
-            time=_cell(record, columns, "time", line_no),
-        )
-        for name in ("distance_a", "distance_b", "distance_c"):
-            if getattr(sample, name) < 0:
-                raise ValidationError(f"row {line_no}: negative distance in column {name!r}")
-        if 0.0 in (sample.distance_a, sample.distance_b, sample.distance_c):
-            zero_distance_rows += 1
-        rows.append(sample)
-    notes = ()
-    if zero_distance_rows:
-        notes = (f"{zero_distance_rows} row(s) contain a zero distance reading, kept verbatim",)
-    return Dataset(rows=tuple(rows), schema_tag="beacon", source=str(path), ingest_notes=notes)
+    schema = _schema(schema_tag)
+    columns, lines = _read_rows(path)
+    missing = [name for name in schema.required if name not in columns]
+    if missing:
+        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    text = schema.text + tuple(col for col in schema.optional if col.name in columns)
+    parsed = _parse_columns(schema, columns, [record for record in lines if record], text)
+    if parsed is None:
+        _raise_first_fault(schema, columns, lines, text)
+    return Dataset(schema_tag, source=str(path), **parsed)
+
+
+def parse_beacon_csv(path) -> Dataset:
+    """Load a beacon-distance CSV (positions in cm, distances in meters)."""
+    return parse_csv(path, "beacon")
 
 
 def parse_rssi_csv(path) -> Dataset:
     """Load a scanner-readings CSV: one column per zone plus the label."""
-    columns, records = _read_rows(path)
-    _require_columns(columns, RSSI_COLUMNS, path)
-    rows = []
-    for line_no, record in records:
-        readings = {}
-        for zone in ZONES:
-            value = _float_cell(record, columns, f"rssi_{zone}", line_no)
-            if not (RSSI_OUT_OF_RANGE <= value <= 0.0):
-                raise ValidationError(
-                    f"row {line_no}: reading {value} for zone {zone!r} outside "
-                    f"[{RSSI_OUT_OF_RANGE:.0f}, 0]"
-                )
-            readings[zone] = value
-        try:
-            label = parse_zone(_cell(record, columns, "location", line_no))
-        except ParseError as exc:
-            raise ParseError(f"row {line_no}: {exc}") from None
-        rows.append(RssiSample(readings=readings, label=label))
-    return Dataset(rows=tuple(rows), schema_tag="rssi", source=str(path))
+    return parse_csv(path, "rssi")
 
 
 def parse_imu_csv(path) -> Dataset:
     """Load an accelerometer/gyroscope CSV; the activity column is optional."""
-    columns, records = _read_rows(path)
-    _require_columns(columns, IMU_COLUMNS, path)
-    has_activity = "activity" in columns
-    rows = []
-    for line_no, record in records:
-        channels = {
-            name: _float_cell(record, columns, name, line_no)
-            for name in ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
-        }
-        try:
-            label = parse_zone(_cell(record, columns, "location", line_no))
-        except ParseError as exc:
-            raise ParseError(f"row {line_no}: {exc}") from None
-        activity = None
-        if has_activity:
-            tag = _cell(record, columns, "activity", line_no).strip()
-            activity = tag or None
-        rows.append(ImuSample(label=label, activity=activity, **channels))
-    return Dataset(rows=tuple(rows), schema_tag="imu", source=str(path))
-
-
-# --------------------------------------------------------------------------
-# CSV writing (round-trips bit-for-bit through repr for finite floats)
-# --------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_beacon_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BEACON_COLUMNS)
-        for row in dataset.rows:
-            writer.writerow(
-                [
-                    _fmt(row.position_x),
-                    _fmt(row.position_y),
-                    _fmt(row.distance_a),
-                    _fmt(row.distance_b),
-                    _fmt(row.distance_c),
-                    row.time,
-                ]
-            )
-
-
-def write_rssi_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RSSI_COLUMNS)
-        for row in dataset.rows:
-            writer.writerow([_fmt(row.readings[z]) for z in ZONES] + [row.label])
-
-
-def write_imu_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(IMU_COLUMNS + IMU_OPTIONAL_COLUMNS)
-        for row in dataset.rows:
-            writer.writerow(
-                [_fmt(c) for c in row.channels()] + [row.label, row.activity or ""]
-            )
+    return parse_csv(path, "imu")
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset back to CSV in its canonical schema."""
-    writer = {
-        "beacon": write_beacon_csv,
-        "rssi": write_rssi_csv,
-        "imu": write_imu_csv,
-    }[dataset.schema_tag]
-    writer(dataset, path)
+    """Write a dataset to CSV with its schema's columns, in schema order.
 
-
-def parse_csv(path, schema_tag: str) -> Dataset:
-    """Parse a CSV file according to one of the three schemas."""
-    parser = {
-        "beacon": parse_beacon_csv,
-        "rssi": parse_rssi_csv,
-        "imu": parse_imu_csv,
-    }.get(schema_tag)
-    if parser is None:
-        raise ValidationError(f"unknown schema tag {schema_tag!r}")
-    return parser(path)
+    Floats are written with ``repr``, so finite values round-trip bit for bit.
+    """
+    schema = SCHEMAS[dataset.schema_tag]
+    text = schema.text + schema.optional
+    cells = [map(repr, column) for column in dataset.values.T.tolist()]
+    cells += [map(col.write, getattr(dataset, col.attr)) for col in text]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(schema.numeric + tuple(col.name for col in text))
+        writer.writerows(zip(*cells))
 
 
 # --------------------------------------------------------------------------
@@ -444,11 +460,16 @@ def split_data(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset]
     labeled (rssi/imu) dataset.
     """
     labels = dataset.labels() if config.stratified else None
-    train_idx, test_idx = split_indices(len(dataset.rows), config, labels)
-    make = lambda idx: Dataset(
-        rows=tuple(dataset.rows[i] for i in idx),
-        schema_tag=dataset.schema_tag,
-        source=dataset.source,
+    train_idx, test_idx = split_indices(len(dataset), config, labels)
+    schema = SCHEMAS[dataset.schema_tag]
+    make = lambda idx: replace(
+        dataset,
+        values=dataset.values[idx],
+        ingest_notes=(),
+        **{
+            col.attr: tuple(getattr(dataset, col.attr)[i] for i in idx)
+            for col in schema.text + schema.optional
+        },
     )
     return make(train_idx), make(test_idx)
 
@@ -502,18 +523,8 @@ def generate_synthetic_walk(
         dist_m = dist_m + rng.normal(0.0, noise_sigma, size=dist_m.shape)
         dist_m = np.maximum(dist_m, 0.0)
 
-    rows = tuple(
-        BeaconDistanceSample(
-            position_x=float(w[i, 0]),
-            position_y=float(w[i, 1]),
-            distance_a=float(dist_m[i, 0]),
-            distance_b=float(dist_m[i, 1]),
-            distance_c=float(dist_m[i, 2]),
-            time=f"walk {i:05d}",
-        )
-        for i in range(len(w))
-    )
-    return Dataset(rows=rows, schema_tag="beacon", source="synthetic")
+    times = tuple(f"walk {i:05d}" for i in range(len(w)))
+    return Dataset("beacon", np.column_stack([w, dist_m]), times=times)
 
 
 def synthetic_walk_dataset(rows: int = 250, noise_sigma: float = 0.05, seed: int = 42) -> Dataset:
@@ -548,13 +559,12 @@ def synthetic_rssi_dataset(
     lo, hi = visible_range
     if not (RSSI_OUT_OF_RANGE < lo <= hi <= 0.0):
         raise ValidationError("visible_range must sit inside (-120, 0]")
-    samples = []
-    for _ in range(rows):
-        zone = ZONES[int(rng.integers(0, len(ZONES)))]
-        readings = dict.fromkeys(ZONES, RSSI_OUT_OF_RANGE)
-        readings[zone] = float(rng.uniform(lo, hi))
-        samples.append(RssiSample(readings=readings, label=zone))
-    return Dataset(rows=tuple(samples), schema_tag="rssi", source="synthetic")
+    zones = np.empty(rows, dtype=np.intp)
+    values = np.full((rows, len(ZONES)), RSSI_OUT_OF_RANGE)
+    for i in range(rows):  # one zone draw, then one reading draw, per row
+        zones[i] = rng.integers(0, len(ZONES))
+        values[i, zones[i]] = rng.uniform(lo, hi)
+    return Dataset("rssi", values, zones=zones)
 
 
 # Per-zone mean signatures for the six channels (acc x/y/z, gyro x/y/z).
@@ -575,23 +585,13 @@ def synthetic_imu_dataset(rows: int = 400, seed: int = 42, noise: float = 0.45) 
     feature extraction has complete windows to work with.
     """
     rng = np.random.default_rng(seed)
-    samples: list[ImuSample] = []
-    while len(samples) < rows:
-        zone = ZONES[int(rng.integers(0, len(ZONES)))]
-        dwell = int(rng.integers(8, 26))
-        mean = np.array(_IMU_SIGNATURES[zone])
-        for _ in range(min(dwell, rows - len(samples))):
-            values = mean + rng.normal(0.0, noise, size=6)
-            samples.append(
-                ImuSample(
-                    acc_x=float(values[0]),
-                    acc_y=float(values[1]),
-                    acc_z=float(values[2]),
-                    gyro_x=float(values[3]),
-                    gyro_y=float(values[4]),
-                    gyro_z=float(values[5]),
-                    label=zone,
-                    activity=_ZONE_ACTIVITIES[zone],
-                )
-            )
-    return Dataset(rows=tuple(samples), schema_tag="imu", source="synthetic")
+    runs: list[np.ndarray] = []
+    zones: list[int] = []
+    while len(zones) < rows:
+        zone = int(rng.integers(0, len(ZONES)))
+        dwell = min(int(rng.integers(8, 26)), rows - len(zones))
+        runs.append(np.array(_IMU_SIGNATURES[ZONES[zone]]) + rng.normal(0.0, noise, size=(dwell, 6)))
+        zones += [zone] * dwell
+    values = np.concatenate(runs) if runs else np.empty((0, 6))
+    activities = tuple(_ZONE_ACTIVITIES[ZONES[z]] for z in zones)
+    return Dataset("imu", values, zones=zones, activities=activities)

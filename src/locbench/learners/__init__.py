@@ -24,7 +24,6 @@ import numpy as np
 from ..data import ValidationError
 from .base import (
     FeatureMatrix,
-    PredictionWithConfidence,
     Standardizer,
     TrainingDivergedError,
     prediction_from_scores,
@@ -58,7 +57,6 @@ __all__ = [
     "MlpModel",
     "MlpNetwork",
     "PARAMS",
-    "PredictionWithConfidence",
     "REGISTRY",
     "Standardizer",
     "SvrModel",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -75,28 +74,21 @@ def standardize(train: np.ndarray) -> tuple[Standardizer, np.ndarray]:
     return stats, stats.transform(X)
 
 
-@dataclass(frozen=True)
-class PredictionWithConfidence:
-    """A zone prediction with per-zone confidence fractions summing to 1."""
-
-    label: str
-    confidence: Mapping[str, float]
-
-
 def prediction_from_scores(
     scores: np.ndarray, classes: tuple[str, ...] = ZONES
-) -> PredictionWithConfidence:
-    """Turn a confidence vector into a prediction.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a (rows x classes) confidence matrix and take each row's argmax.
 
-    The label is the argmax; exact ties go to the earliest class in
-    ``classes`` (canonical zone order).
+    Returns (predicted class indices, the scores as float64).  Every row
+    must be non-negative and sum to 1; exact ties go to the earliest
+    class in ``classes`` (canonical zone order).
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (len(classes),):
-        raise ValidationError(f"expected {len(classes)} scores, got shape {scores.shape}")
-    if (scores < -1e-12).any() or abs(scores.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"confidences must be non-negative and sum to 1, got {scores}")
-    label = classes[int(np.argmax(scores))]
-    return PredictionWithConfidence(
-        label=label, confidence={c: float(s) for c, s in zip(classes, scores)}
-    )
+    if scores.ndim != 2 or scores.shape[1] != len(classes):
+        raise ValidationError(f"expected {len(classes)} scores per row, got shape {scores.shape}")
+    bad = (scores < -1e-12).any(axis=1) | (np.abs(scores.sum(axis=1) - 1.0) > 1e-9)
+    if bad.any():
+        raise ValidationError(
+            f"confidences must be non-negative and sum to 1, got {scores[np.argmax(bad)]}"
+        )
+    return np.argmax(scores, axis=1), scores

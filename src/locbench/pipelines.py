@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import (
     RSSI_OUT_OF_RANGE,
+    SCHEMAS,
     ZONES,
     Dataset,
-    RssiSample,
     SplitConfig,
     ValidationError,
     split_indices,
@@ -50,9 +50,9 @@ from .learners import (
     standardize,
 )
 
-RSSI_FEATURES = tuple(f"rssi_{z}" for z in ZONES)
-IMU_FEATURES = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z")
-DISTANCE_FEATURES = ("distance_a", "distance_b", "distance_c")
+RSSI_FEATURES = SCHEMAS["rssi"].numeric
+IMU_FEATURES = SCHEMAS["imu"].numeric
+DISTANCE_FEATURES = SCHEMAS["beacon"].numeric[2:]  # after position_x, position_y
 
 #: Table-layout display names for the learner families, in table order.
 FAMILY_LABELS = {name: family.label for name, family in REGISTRY.items()}
@@ -98,17 +98,17 @@ def default_coords_config(seed: int = 42) -> PipelineConfig:
 # --------------------------------------------------------------------------
 
 
-def zone_from_rssi_rule(sample: RssiSample) -> str | None:
+def zone_from_rssi_rule(readings: Sequence[float]) -> str | None:
     """The zone whose scanner reads strongest, if any scanner saw the beacon.
 
-    Readings of exactly the out-of-range value never win; if every scanner
-    reports out-of-range the result is None.  Ties go to the earliest zone
-    in canonical order.
+    ``readings`` holds one reading per zone in ``ZONES`` order, as in a row
+    of an rssi dataset's values.  Readings of exactly the out-of-range
+    value never win; if every scanner reports out-of-range the result is
+    None.  Ties go to the earliest zone in canonical order.
     """
     best_zone = None
     best_value = RSSI_OUT_OF_RANGE
-    for zone in ZONES:
-        value = sample.readings[zone]
+    for zone, value in zip(ZONES, readings):
         if value > best_value:
             best_zone, best_value = zone, value
     return best_zone
@@ -119,14 +119,18 @@ def zone_from_rssi_rule(sample: RssiSample) -> str | None:
 # --------------------------------------------------------------------------
 
 
-def build_rssi_features(dataset: Dataset) -> tuple[FeatureMatrix, np.ndarray]:
-    if dataset.schema_tag != "rssi":
-        raise ValidationError(f"expected an rssi dataset, got {dataset.schema_tag!r}")
+def _check_dataset(dataset: Dataset, schema_tag: str) -> None:
+    if dataset.schema_tag != schema_tag:
+        raise ValidationError(
+            f"expected a dataset of schema {schema_tag!r}, got {dataset.schema_tag!r}"
+        )
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
-    values = np.array([row.vector() for row in dataset.rows])
-    labels = np.array([ZONES.index(row.label) for row in dataset.rows])
-    return FeatureMatrix(values=values, columns=RSSI_FEATURES), labels
+
+
+def build_rssi_features(dataset: Dataset) -> tuple[FeatureMatrix, np.ndarray]:
+    _check_dataset(dataset, "rssi")
+    return FeatureMatrix(values=dataset.values, columns=RSSI_FEATURES), dataset.zones
 
 
 def build_imu_features(
@@ -138,12 +142,8 @@ def build_imu_features(
     inside runs of constant label (never across a label change); short
     remainders are dropped.
     """
-    if dataset.schema_tag != "imu":
-        raise ValidationError(f"expected an imu dataset, got {dataset.schema_tag!r}")
-    if len(dataset) == 0:
-        raise ValidationError("dataset is empty")
-    channels = np.array([row.channels() for row in dataset.rows])
-    labels = np.array([ZONES.index(row.label) for row in dataset.rows])
+    _check_dataset(dataset, "imu")
+    channels, labels = dataset.values, dataset.zones
     if window is None or window == 1:
         return FeatureMatrix(values=channels, columns=IMU_FEATURES), labels
 
@@ -168,16 +168,12 @@ def build_imu_features(
 
 def build_beacon_features(
     dataset: Dataset,
-) -> tuple[FeatureMatrix, np.ndarray, np.ndarray, list[str]]:
-    if dataset.schema_tag != "beacon":
-        raise ValidationError(f"expected a beacon dataset, got {dataset.schema_tag!r}")
-    if len(dataset) == 0:
-        raise ValidationError("dataset is empty")
-    values = np.array([row.distances() for row in dataset.rows])
-    x = np.array([row.position_x for row in dataset.rows])
-    y = np.array([row.position_y for row in dataset.rows])
-    times = [row.time for row in dataset.rows]
-    return FeatureMatrix(values=values, columns=DISTANCE_FEATURES), x, y, times
+) -> tuple[FeatureMatrix, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """(distance features, position x, position y, times), all column views."""
+    _check_dataset(dataset, "beacon")
+    values = dataset.values
+    features = FeatureMatrix(values=values[:, 2:], columns=DISTANCE_FEATURES)
+    return features, values[:, 0], values[:, 1], dataset.times
 
 
 # --------------------------------------------------------------------------
@@ -185,49 +181,54 @@ def build_beacon_features(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZonePredictionRow:
-    """One test-set prediction in the classification output layout."""
-
-    row_no: int
-    actual: str
-    predicted: str
-    confidence: Mapping[str, float]
+def _split(
+    n: int, config: SplitConfig, labels: Sequence[str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``split_indices``, refusing a split that leaves either side empty."""
+    train_idx, test_idx = split_indices(n, config, labels=labels)
+    if len(train_idx) == 0:
+        raise ValidationError("split left no training rows; raise the train ratio")
+    if len(test_idx) == 0:
+        raise ValidationError("split left no test rows; lower the train ratio")
+    return train_idx, test_idx
 
 
 @dataclass(frozen=True)
 class ZoneRunResult:
+    """Zone predictions for the held-out feature rows, one array entry per row.
+
+    ``test_idx`` are the held-out feature rows in ascending order;
+    ``actual`` and ``predicted`` are indices into ``ZONES``, and
+    ``predicted`` is the first maximum of each row of ``confidence``
+    (test rows x zones, each row non-negative and summing to 1).
+    """
+
     report: ClassificationReport
-    rows: tuple[ZonePredictionRow, ...]
+    test_idx: np.ndarray
+    actual: np.ndarray
+    predicted: np.ndarray
+    confidence: np.ndarray
     config: PipelineConfig
 
 
 def _run_zone(features: FeatureMatrix, labels: np.ndarray, config: PipelineConfig) -> ZoneRunResult:
-    label_names = [ZONES[i] for i in labels]
-    train_idx, test_idx = split_indices(features.n_rows, config.split, labels=label_names)
-    if len(test_idx) == 0:
-        raise ValidationError("split left no test rows; lower the train ratio")
+    train_idx, test_idx = _split(features.n_rows, config.split, [ZONES[i] for i in labels])
     stats, X_train = standardize(features.values[train_idx])
     X_test = stats.transform(features.values[test_idx])
     model = fit_classifier(config.learner, X_train, labels[train_idx], n_classes=len(ZONES))
-    confidences = model.predict_confidence(X_test)
-
-    rows = []
-    predicted = []
-    for out_no, (idx, scores) in enumerate(zip(test_idx, confidences), start=1):
-        pred = prediction_from_scores(scores)
-        predicted.append(pred.label)
-        rows.append(
-            ZonePredictionRow(
-                row_no=out_no,
-                actual=ZONES[labels[idx]],
-                predicted=pred.label,
-                confidence=pred.confidence,
-            )
-        )
-    truth = [ZONES[labels[i]] for i in test_idx]
-    report = classification_report(confusion_matrix(truth, predicted))
-    return ZoneRunResult(report=report, rows=tuple(rows), config=config)
+    predicted, confidence = prediction_from_scores(model.predict_confidence(X_test))
+    actual = labels[test_idx]
+    report = classification_report(
+        confusion_matrix([ZONES[i] for i in actual], [ZONES[i] for i in predicted])
+    )
+    return ZoneRunResult(
+        report=report,
+        test_idx=test_idx,
+        actual=actual,
+        predicted=predicted,
+        confidence=confidence,
+        config=config,
+    )
 
 
 def run_zone_rssi(dataset: Dataset, config: PipelineConfig | None = None) -> ZoneRunResult:
@@ -250,23 +251,20 @@ def run_zone_imu(dataset: Dataset, config: PipelineConfig | None = None) -> Zone
 
 
 @dataclass(frozen=True)
-class CoordPredictionRow:
-    """One test-set prediction in the coordinate output layout."""
-
-    row_no: int
-    actual: float
-    predicted: float
-    distance_a: float
-    distance_b: float
-    distance_c: float
-    time: str
-
-
-@dataclass(frozen=True)
 class CoordsRunResult:
+    """Coordinate predictions for the held-out rows, one array row per test row.
+
+    ``actual`` and ``predicted`` are (test rows x 2) positions in cm, x
+    then y; ``distances`` and ``times`` are the test rows' beacon
+    distances and timestamps, in ``test_idx`` order.
+    """
+
     report: RegressionReport
-    rows_x: tuple[CoordPredictionRow, ...]
-    rows_y: tuple[CoordPredictionRow, ...]
+    test_idx: np.ndarray
+    actual: np.ndarray
+    predicted: np.ndarray
+    distances: np.ndarray
+    times: tuple[str, ...]
     importance_x: ImportanceReport | None
     importance_y: ImportanceReport | None
     config: PipelineConfig
@@ -281,9 +279,7 @@ def run_coords(dataset: Dataset, config: PipelineConfig | None = None) -> Coords
     """Coordinate regression from beacon distances; X and Y are separate models."""
     config = config or default_coords_config()
     features, pos_x, pos_y, times = build_beacon_features(dataset)
-    train_idx, test_idx = split_indices(features.n_rows, config.split)
-    if len(test_idx) == 0:
-        raise ValidationError("split left no test rows; lower the train ratio")
+    train_idx, test_idx = _split(features.n_rows, config.split)
     return _run_coords_on_split(features, pos_x, pos_y, times, train_idx, test_idx, config)
 
 
@@ -291,7 +287,7 @@ def _run_coords_on_split(
     features: FeatureMatrix,
     pos_x: np.ndarray,
     pos_y: np.ndarray,
-    times: list[str],
+    times: tuple[str, ...],
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     config: PipelineConfig,
@@ -305,22 +301,6 @@ def _run_coords_on_split(
     pred_y = model_y.predict(X_test)
     report = regression_report(pred_x - pos_x[test_idx], pred_y - pos_y[test_idx])
 
-    def rows_for(actual: np.ndarray, predicted: np.ndarray) -> tuple[CoordPredictionRow, ...]:
-        out = []
-        for out_no, idx in enumerate(test_idx, start=1):
-            out.append(
-                CoordPredictionRow(
-                    row_no=out_no,
-                    actual=float(actual[idx]),
-                    predicted=float(predicted[out_no - 1]),
-                    distance_a=float(features.values[idx, 0]),
-                    distance_b=float(features.values[idx, 1]),
-                    distance_c=float(features.values[idx, 2]),
-                    time=times[idx],
-                )
-            )
-        return tuple(out)
-
     importance_x = importance_y = None
     if config.learner.family == "random_forest":
         importance_x = feature_importance(model_x, feature_names=features.columns)
@@ -328,8 +308,11 @@ def _run_coords_on_split(
 
     return CoordsRunResult(
         report=report,
-        rows_x=rows_for(pos_x, pred_x),
-        rows_y=rows_for(pos_y, pred_y),
+        test_idx=test_idx,
+        actual=np.column_stack([pos_x[test_idx], pos_y[test_idx]]),
+        predicted=np.column_stack([pred_x, pred_y]),
+        distances=features.values[test_idx],
+        times=tuple(times[i] for i in test_idx),
         importance_x=importance_x,
         importance_y=importance_y,
         config=config,
@@ -396,9 +379,7 @@ def compare_models(
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}
     for seed in seeds:
         split = SplitConfig(train_ratio=train_ratio, seed=seed, stratified=False)
-        train_idx, test_idx = split_indices(features.n_rows, split)
-        if len(test_idx) == 0:
-            raise ValidationError("split left no test rows; lower the train ratio")
+        train_idx, test_idx = _split(features.n_rows, split)
         for spec in specs:
             run_spec = LearnerSpec(family=spec.family, seed=seed, params=spec.params)
             config = PipelineConfig(learner=run_spec, split=split)

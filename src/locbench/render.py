@@ -15,14 +15,9 @@ import json
 import os
 import tempfile
 
+from .data import ZONES
 from .evaluation import ClassificationReport
-from .pipelines import (
-    ComparisonResult,
-    CoordPredictionRow,
-    CoordsRunResult,
-    ZonePredictionRow,
-    ZoneRunResult,
-)
+from .pipelines import ComparisonResult, CoordsRunResult, ZoneRunResult
 
 
 def write_atomic(path, text: str) -> None:
@@ -89,17 +84,14 @@ def zone_report_payload(result: ZoneRunResult) -> dict:
     }
 
 
-def zone_predictions_csv(rows: tuple[ZonePredictionRow, ...]) -> str:
-    out = io.StringIO()
-    classes = tuple(rows[0].confidence) if rows else ()
+def zone_predictions_csv(result: ZoneRunResult) -> str:
     header = ["Row No.", "Location", "prediction(Location)"]
-    header += [f"confidence({c})" for c in classes]
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [str(row.row_no), row.actual, row.predicted]
-        cells += [repr(float(row.confidence[c])) for c in classes]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    header += [f"confidence({z})" for z in ZONES]
+    lines = [",".join(header)]
+    rows = zip(result.actual.tolist(), result.predicted.tolist(), result.confidence.tolist())
+    for row_no, (actual, predicted, scores) in enumerate(rows, start=1):
+        lines.append(",".join([str(row_no), ZONES[actual], ZONES[predicted], *map(repr, scores)]))
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -128,10 +120,10 @@ def coords_report_payload(result: CoordsRunResult) -> dict:
     return payload
 
 
-def coord_predictions_csv(rows: tuple[CoordPredictionRow, ...], axis: str) -> str:
+def coord_predictions_csv(result: CoordsRunResult, axis: str) -> str:
     """Prediction table for one axis ("x" or "y")."""
     name = {"x": "Position X", "y": "Position Y"}[axis]
-    out = io.StringIO()
+    column = "xy".index(axis)
     header = [
         "Row No.",
         name,
@@ -141,19 +133,18 @@ def coord_predictions_csv(rows: tuple[CoordPredictionRow, ...], axis: str) -> st
         "Distance C",
         "Time",
     ]
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [
-            str(row.row_no),
-            repr(row.actual),
-            repr(row.predicted),
-            repr(row.distance_a),
-            repr(row.distance_b),
-            repr(row.distance_c),
-            row.time,
-        ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    lines = [",".join(header)]
+    rows = zip(
+        result.actual[:, column].tolist(),
+        result.predicted[:, column].tolist(),
+        result.distances.tolist(),
+        result.times,
+    )
+    for row_no, (actual, predicted, distances, time) in enumerate(rows, start=1):
+        lines.append(
+            ",".join([str(row_no), repr(actual), repr(predicted), *map(repr, distances), time])
+        )
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from locbench.activity import completion_score, is_complete, load_bundled_models, validate_activity_model
 from locbench.cli import run_cli
 from locbench.data import (
+    ZONES,
     SplitConfig,
     parse_beacon_csv,
     parse_imu_csv,
@@ -255,14 +256,18 @@ def test_criterion_6_zone_pipelines():
         _, test_idx = split_indices(
             len(dataset), SplitConfig(0.8, seed=42, stratified=True), labels=labels
         )
-        rule_predictions = [zone_from_rssi_rule(dataset.rows[i]) for i in test_idx]
-        assert len(rule_predictions) == len(result.rows)
+        rule_predictions = [zone_from_rssi_rule(dataset.values[i]) for i in test_idx]
+        assert len(rule_predictions) == len(result.predicted)
         agree = sum(
-            1 for rule, row in zip(rule_predictions, result.rows) if rule == row.predicted
+            1
+            for rule, predicted in zip(rule_predictions, result.predicted)
+            if rule == ZONES[predicted]
         )
-        agreement = agree / len(result.rows)
+        agreement = agree / len(result.predicted)
         assert agreement >= 0.99, f"rule vs learned agreement {agreement:.4f} below 0.99"
-        detail = f"substitute: rule vs k-NN agreement {agreement:.2%} on {len(result.rows)} rows"
+        detail = (
+            f"substitute: rule vs k-NN agreement {agreement:.2%} on {len(result.predicted)} rows"
+        )
     report_pass(6, "zone pipelines", detail)
 
 
@@ -333,9 +338,9 @@ def test_criterion_7_property_suite():
         assert not set(tr1) & set(te1)
 
     # Confidence vectors normalize and take the earliest class on ties.
-    pred = prediction_from_scores(np.array([0.25, 0.25, 0.25, 0.25]))
-    assert pred.label == "bedroom"
-    assert sum(pred.confidence.values()) == pytest.approx(1.0, abs=1e-9)
+    predicted, confidence = prediction_from_scores(np.array([[0.25, 0.25, 0.25, 0.25]]))
+    assert ZONES[predicted[0]] == "bedroom"
+    assert sum(confidence[0]) == pytest.approx(1.0, abs=1e-9)
 
     # Activity fixtures: weighted-coverage arithmetic lands exactly where
     # hand computation puts it.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import locbench.learners
-from locbench.data import ValidationError
+from locbench.data import ZONES, ValidationError
 from locbench.learners import (
     FAMILIES,
     FeatureMatrix,
@@ -224,13 +224,13 @@ class TestFitDispatch:
 class TestPredictionFromScores:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
-            prediction_from_scores(np.array([0.5, 0.2, 0.1, 0.1]))
+            prediction_from_scores(np.array([[0.5, 0.2, 0.1, 0.1]]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            prediction_from_scores(np.array([-0.1, 0.6, 0.3, 0.2]))
+            prediction_from_scores(np.array([[-0.1, 0.6, 0.3, 0.2]]))
 
     def test_label_is_argmax(self):
-        pred = prediction_from_scores(np.array([0.1, 0.2, 0.6, 0.1]))
-        assert pred.label == "office"
-        assert pred.confidence["office"] == pytest.approx(0.6)
+        predicted, confidence = prediction_from_scores(np.array([[0.1, 0.2, 0.6, 0.1]]))
+        assert ZONES[predicted[0]] == "office"
+        assert confidence[0, ZONES.index("office")] == pytest.approx(0.6)

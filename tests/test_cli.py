@@ -365,6 +365,34 @@ class TestBadArguments:
         assert code == 1
         assert capsys.readouterr().err == f"error: {data}: file is not UTF-8 text\n"
 
+    def test_oversized_csv_cell_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"
+        rows = "1,2,0.5,0.6,0.7,t\n" + "1,2,0.5,0.6,0.7," + "x" * 200_000 + "\n"
+        data.write_text(header + rows)
+        code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["coords"], ["zone-imu"], ["compare", "--families", "knn,linear_regression"]],
+        ids=["coords", "zone-imu", "compare"],
+    )
+    def test_empty_training_side_exits_one(self, argv, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        kind = "imu" if argv[0] == "zone-imu" else "beacon"
+        assert run(["synth", "--kind", kind, "--rows", "120", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run(argv + ["--data", str(data), "--train-ratio", "0.001", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: split left no training rows; raise the train ratio\n"
+        assert not out.exists()
+
 
 class TestRbfSvrRowLimit:
     """The RBF SVR rejects more than 5,000 training rows (an n x n kernel);

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from locbench.data import (
     DEFAULT_BEACONS,
     ZONES,
-    BeaconDistanceSample,
     Dataset,
     ParseError,
-    RssiSample,
     SchemaError,
     SplitConfig,
     ValidationError,
@@ -43,13 +41,13 @@ class TestParseBeaconCsv:
         ds = parse_beacon_csv(path)
         assert ds.schema_tag == "beacon"
         assert len(ds) == 1
-        row = ds.rows[0]
-        assert row.position_x == 122.0
-        assert row.position_y == 180.0
-        assert row.distance_a == 0.877
-        assert row.distance_b == 0.769
-        assert row.distance_c == 1.457
-        assert row.time == "2017 12:20:22.583"
+        position_x, position_y, distance_a, distance_b, distance_c = ds.values[0]
+        assert position_x == 122.0
+        assert position_y == 180.0
+        assert distance_a == 0.877
+        assert distance_b == 0.769
+        assert distance_c == 1.457
+        assert ds.times[0] == "2017 12:20:22.583"
 
     def test_column_order_and_case_are_free(self, tmp_path):
         path = write(
@@ -58,10 +56,10 @@ class TestParseBeaconCsv:
             "time,DISTANCE C,distance_b,distance a,position-y,POSITION_X\n"
             "t0,3.0,2.0,1.0,20,10\n",
         )
-        row = parse_beacon_csv(path).rows[0]
-        assert (row.position_x, row.position_y) == (10.0, 20.0)
-        assert (row.distance_a, row.distance_b, row.distance_c) == (1.0, 2.0, 3.0)
-        assert row.time == "t0"
+        ds = parse_beacon_csv(path)
+        assert tuple(ds.values[0, :2]) == (10.0, 20.0)
+        assert tuple(ds.values[0, 2:]) == (1.0, 2.0, 3.0)
+        assert ds.times[0] == "t0"
 
     def test_header_only_gives_empty_dataset(self, tmp_path):
         path = write(
@@ -77,7 +75,7 @@ class TestParseBeaconCsv:
             "122,180,1.533,1.174,0,2017 12:20:35.018\n",
         )
         ds = parse_beacon_csv(path)
-        assert ds.rows[0].distance_c == 0.0
+        assert ds.values[0, 4] == 0.0
         assert any("zero distance" in note for note in ds.ingest_notes)
 
     def test_missing_column_names_it(self, tmp_path):
@@ -112,13 +110,14 @@ class TestParseRssiCsv:
     def test_single_visible_zone(self, tmp_path):
         path = write(tmp_path, "r.csv", self.HEADER + "-120,-70,-120,-120,kitchen\n")
         ds = parse_rssi_csv(path)
-        row = ds.rows[0]
-        assert row.label == "kitchen"
-        assert row.readings == {"bedroom": -120, "kitchen": -70, "office": -120, "toilet": -120}
+        assert ZONES[ds.zones[0]] == "kitchen"
+        assert dict(zip(ZONES, ds.values[0])) == {
+            "bedroom": -120, "kitchen": -70, "office": -120, "toilet": -120
+        }
 
     def test_all_out_of_range_is_accepted(self, tmp_path):
         path = write(tmp_path, "r.csv", self.HEADER + "-120,-120,-120,-120,bedroom\n")
-        assert parse_rssi_csv(path).rows[0].label == "bedroom"
+        assert ZONES[parse_rssi_csv(path).zones[0]] == "bedroom"
 
     def test_reading_above_zero_rejected_with_row(self, tmp_path):
         path = write(tmp_path, "r.csv", self.HEADER + "-120,5,-120,-120,kitchen\n")
@@ -135,6 +134,12 @@ class TestParseRssiCsv:
         with pytest.raises(ParseError, match="unknown zone"):
             parse_rssi_csv(path)
 
+    def test_short_row_names_its_missing_label_once(self, tmp_path):
+        path = write(tmp_path, "r.csv", self.HEADER + "-120,-70,-120,-120\n")
+        with pytest.raises(ParseError) as info:
+            parse_rssi_csv(path)
+        assert str(info.value) == "row 2: missing value for column 'location'"
+
 
 class TestParseImuCsv:
     def test_with_activity_tag(self, tmp_path):
@@ -144,11 +149,12 @@ class TestParseImuCsv:
             "acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,location,activity\n"
             "0.12,-0.98,0.05,1.1,-0.3,0.0,bedroom,sleeping\n",
         )
-        row = parse_imu_csv(path).rows[0]
-        assert row.label == "bedroom"
-        assert row.activity == "sleeping"
-        assert row.acc_y == -0.98
-        assert row.gyro_x == 1.1
+        ds = parse_imu_csv(path)
+        acc_x, acc_y, acc_z, gyro_x, gyro_y, gyro_z = ds.values[0]
+        assert ZONES[ds.zones[0]] == "bedroom"
+        assert ds.activities[0] == "sleeping"
+        assert acc_y == -0.98
+        assert gyro_x == 1.1
 
     def test_without_activity_column(self, tmp_path):
         path = write(
@@ -156,7 +162,7 @@ class TestParseImuCsv:
             "i.csv",
             "acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,location\n0.1,0.2,0.3,0.4,0.5,0.6,office\n",
         )
-        assert parse_imu_csv(path).rows[0].activity is None
+        assert parse_imu_csv(path).activities[0] is None
 
     def test_blank_activity_cell_means_absent(self, tmp_path):
         path = write(
@@ -165,7 +171,7 @@ class TestParseImuCsv:
             "acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,location,activity\n"
             "0.1,0.2,0.3,0.4,0.5,0.6,office,\n",
         )
-        assert parse_imu_csv(path).rows[0].activity is None
+        assert parse_imu_csv(path).activities[0] is None
 
     def test_unknown_zone_label(self, tmp_path):
         path = write(
@@ -187,18 +193,20 @@ class TestParseImuCsv:
 
 
 def beacon_dataset(n):
-    rows = tuple(
-        BeaconDistanceSample(float(i), float(2 * i), 0.1 * i, 0.2 * i, 0.3 * i, f"t{i}")
-        for i in range(n)
-    )
-    return Dataset(rows=rows, schema_tag="beacon", source="test")
+    values = [(float(i), float(2 * i), 0.1 * i, 0.2 * i, 0.3 * i) for i in range(n)]
+    times = tuple(f"t{i}" for i in range(n))
+    return Dataset("beacon", values, times=times, source="test")
 
 
 def labeled_dataset(labels):
-    rows = tuple(
-        RssiSample(readings=dict.fromkeys(ZONES, -120.0), label=label) for label in labels
-    )
-    return Dataset(rows=rows, schema_tag="rssi", source="test")
+    values = np.full((len(labels), len(ZONES)), -120.0)
+    zones = [ZONES.index(label) for label in labels]
+    return Dataset("rssi", values, zones=zones, source="test")
+
+
+def beacon_rows(ds):
+    """The rows of a beacon dataset as (x, y, a, b, c, time) tuples."""
+    return [(*row, time) for row, time in zip(ds.values.tolist(), ds.times)]
 
 
 class TestSplitData:
@@ -215,18 +223,18 @@ class TestSplitData:
         cfg = SplitConfig(train_ratio=0.6, seed=9)
         first = split_data(ds, cfg)
         second = split_data(ds, cfg)
-        assert first[0].rows == second[0].rows
-        assert first[1].rows == second[1].rows
+        assert beacon_rows(first[0]) == beacon_rows(second[0])
+        assert beacon_rows(first[1]) == beacon_rows(second[1])
 
     def test_different_seeds_differ(self):
         ds = beacon_dataset(60)
         a, _ = split_data(ds, SplitConfig(train_ratio=0.5, seed=1))
         b, _ = split_data(ds, SplitConfig(train_ratio=0.5, seed=2))
-        assert a.rows != b.rows
+        assert beacon_rows(a) != beacon_rows(b)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
-            split_data(Dataset(rows=(), schema_tag="beacon"), SplitConfig(train_ratio=0.5))
+            split_data(Dataset("beacon", values=()), SplitConfig(train_ratio=0.5))
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValidationError):
@@ -245,8 +253,8 @@ class TestSplitData:
         train, test = split_data(ds, SplitConfig(train_ratio=ratio, seed=seed))
         assert len(train) == math.floor(ratio * n + 1e-9)
         assert len(train) + len(test) == n
-        merged = sorted(train.rows + test.rows, key=lambda r: r.position_x)
-        assert merged == sorted(ds.rows, key=lambda r: r.position_x)
+        merged = sorted(beacon_rows(train) + beacon_rows(test), key=lambda r: r[0])
+        assert merged == sorted(beacon_rows(ds), key=lambda r: r[0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -260,7 +268,7 @@ class TestSplitData:
         train, test = split_data(ds, SplitConfig(train_ratio=ratio, seed=seed, stratified=True))
         assert len(train) == math.floor(ratio * len(labels) + 1e-9)
         for zone, size in zip(ZONES, sizes):
-            got = sum(1 for r in train.rows if r.label == zone)
+            got = sum(1 for label in train.labels() if label == zone)
             assert abs(got - math.floor(ratio * size + 1e-9)) <= 1
 
 
@@ -285,29 +293,30 @@ class TestRoundTrip:
     )
     def test_beacon_roundtrip_bit_for_bit(self, rows, tmp_path_factory):
         ds = Dataset(
-            rows=tuple(BeaconDistanceSample(*row) for row in rows),
-            schema_tag="beacon",
+            "beacon",
+            values=[row[:5] for row in rows],
+            times=tuple(row[5] for row in rows),
             source="test",
         )
         path = tmp_path_factory.mktemp("rt") / "b.csv"
         write_csv(ds, path)
         back = parse_beacon_csv(path)
         assert len(back) == len(ds)
-        for original, parsed in zip(ds.rows, back.rows):
-            assert parsed.position_x == original.position_x
-            assert parsed.position_y == original.position_y
-            assert parsed.distance_a == original.distance_a
-            assert parsed.distance_b == original.distance_b
-            assert parsed.distance_c == original.distance_c
-            assert parsed.time == original.time
+        for original, parsed in zip(beacon_rows(ds), beacon_rows(back)):
+            assert parsed[0] == original[0]
+            assert parsed[1] == original[1]
+            assert parsed[2] == original[2]
+            assert parsed[3] == original[3]
+            assert parsed[4] == original[4]
+            assert parsed[5] == original[5]
 
     def test_rssi_and_imu_roundtrip(self, tmp_path):
         rssi = synthetic_rssi_dataset(rows=25, seed=5)
         path = tmp_path / "r.csv"
         write_csv(rssi, path)
         back = parse_rssi_csv(path)
-        assert [r.readings for r in back.rows] == [r.readings for r in rssi.rows]
-        assert [r.label for r in back.rows] == [r.label for r in rssi.rows]
+        assert back.values.tolist() == rssi.values.tolist()
+        assert back.labels() == rssi.labels()
 
         from locbench.data import synthetic_imu_dataset
 
@@ -315,10 +324,8 @@ class TestRoundTrip:
         path = tmp_path / "i.csv"
         write_csv(imu, path)
         back = parse_imu_csv(path)
-        assert [tuple(r.channels()) for r in back.rows] == [
-            tuple(r.channels()) for r in imu.rows
-        ]
-        assert [r.activity for r in back.rows] == [r.activity for r in imu.rows]
+        assert back.values.tolist() == imu.values.tolist()
+        assert back.activities == imu.activities
 
 
 def trilaterate(beacons, distances_cm):
@@ -339,17 +346,18 @@ class TestSyntheticWalk:
     def test_exact_distances_by_hand(self):
         beacons = ((0.0, 0.0), (400.0, 0.0), (0.0, 300.0))
         ds = generate_synthetic_walk(beacons, [(300.0, 400.0)], noise_sigma=0.0)
-        row = ds.rows[0]
-        assert row.distance_a == pytest.approx(5.0, abs=1e-12)
-        assert row.distance_b == pytest.approx(math.sqrt(170000.0) / 100.0, abs=1e-12)
-        assert row.distance_c == pytest.approx(math.sqrt(100000.0) / 100.0, abs=1e-12)
+        distance_a, distance_b, distance_c = ds.values[0, 2:]
+        assert distance_a == pytest.approx(5.0, abs=1e-12)
+        assert distance_b == pytest.approx(math.sqrt(170000.0) / 100.0, abs=1e-12)
+        assert distance_c == pytest.approx(math.sqrt(100000.0) / 100.0, abs=1e-12)
 
     def test_waypoint_at_beacon_has_zero_distance(self):
         beacons = ((0.0, 0.0), (400.0, 0.0), (0.0, 300.0))
-        row = generate_synthetic_walk(beacons, [(0.0, 0.0)], noise_sigma=0.0).rows[0]
-        assert row.distance_a == 0.0
-        assert row.distance_b == 4.0
-        assert row.distance_c == 3.0
+        ds = generate_synthetic_walk(beacons, [(0.0, 0.0)], noise_sigma=0.0)
+        distance_a, distance_b, distance_c = ds.values[0, 2:]
+        assert distance_a == 0.0
+        assert distance_b == 4.0
+        assert distance_c == 3.0
 
     def test_collinear_beacons_rejected(self):
         with pytest.raises(ValidationError, match="collinear"):
@@ -360,9 +368,9 @@ class TestSyntheticWalk:
         wps = [(10.0 * i, 7.0 * i) for i in range(20)]
         a = generate_synthetic_walk(beacons, wps, noise_sigma=0.3, seed=11)
         b = generate_synthetic_walk(beacons, wps, noise_sigma=0.3, seed=11)
-        assert a.rows == b.rows
+        assert beacon_rows(a) == beacon_rows(b)
         c = generate_synthetic_walk(beacons, wps, noise_sigma=0.3, seed=12)
-        assert a.rows != c.rows
+        assert beacon_rows(a) != beacon_rows(c)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
@@ -375,25 +383,25 @@ class TestSyntheticWalk:
 
     def test_zero_noise_walk_is_recoverable_by_trilateration(self):
         ds = synthetic_walk_dataset(rows=50, noise_sigma=0.0, seed=4)
-        for row in ds.rows:
+        for position_x, position_y, distance_a, distance_b, distance_c in ds.values:
             recovered = trilaterate(
                 DEFAULT_BEACONS,
-                (100.0 * row.distance_a, 100.0 * row.distance_b, 100.0 * row.distance_c),
+                (100.0 * distance_a, 100.0 * distance_b, 100.0 * distance_c),
             )
-            assert abs(recovered[0] - row.position_x) < 1e-9
-            assert abs(recovered[1] - row.position_y) < 1e-9
+            assert abs(recovered[0] - position_x) < 1e-9
+            assert abs(recovered[1] - position_y) < 1e-9
 
     def test_default_walk_shape(self):
         ds = synthetic_walk_dataset(rows=250, noise_sigma=0.05, seed=42)
         assert len(ds) == 250
         assert ds.schema_tag == "beacon"
-        assert all(r.distance_a >= 0 for r in ds.rows)
+        assert all(distance_a >= 0 for distance_a in ds.values[:, 2])
 
 
 class TestRecordValidation:
     def test_dataset_rejects_unknown_schema(self):
         with pytest.raises(ValidationError):
-            Dataset(rows=(), schema_tag="sonar")
+            Dataset("sonar", values=())
 
     def test_labels_refused_on_beacon_data(self):
         with pytest.raises(ValidationError):

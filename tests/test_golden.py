@@ -6,9 +6,8 @@ is checked against the exact bytes, not a tolerance.  Inputs are ~120-row
 ``synth`` files generated with fixed seeds, plus a tie-heavy scanner file
 whose readings take three coarse levels and whose labels disagree on
 identical readings, so the k-NN tie rule decides its predictions.  The
-``synth`` input files are pinned too.  A
-change that alters these hashes on purpose must name and justify the new
-values in CHANGES.md.
+``synth`` input files are pinned too.  A change that alters these hashes
+on purpose must name and justify the new values in CHANGES.md.
 """
 
 import hashlib
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from locbench.cli import run_cli
-from locbench.data import RSSI_COLUMNS, ZONES
+from locbench.data import SCHEMAS, ZONES
 from locbench.learners import neighbors
 
 FAMILIES = "knn,decision_tree,random_forest,gbt,linear_regression,svr,ann,deep_learning"
@@ -169,7 +168,7 @@ def inputs(tmp_path_factory):
     rng = np.random.default_rng(14)
     readings = rng.choice([-120, -90, -60], size=(120, len(ZONES)))
     labels = rng.choice(ZONES, size=120)
-    lines = [",".join(RSSI_COLUMNS)]
+    lines = [",".join(SCHEMAS["rssi"].required)]
     lines += [",".join(map(str, r)) + f",{z}" for r, z in zip(readings.tolist(), labels)]
     (root / "ties.csv").write_text("\n".join(lines) + "\n")
     paths["ties"] = str(root / "ties.csv")

@@ -4,7 +4,6 @@ import pytest
 from locbench.data import (
     ZONES,
     Dataset,
-    RssiSample,
     SplitConfig,
     ValidationError,
     generate_synthetic_walk,
@@ -27,10 +26,10 @@ from locbench.render import comparison_csv, comparison_markdown, to_json
 from locbench.render import comparison_report_payload
 
 
-def rssi(readings, label="bedroom"):
+def rssi(readings):
     full = dict.fromkeys(ZONES, -120.0)
     full.update(readings)
-    return RssiSample(readings=full, label=label)
+    return [full[z] for z in ZONES]
 
 
 class TestRssiRule:
@@ -59,36 +58,30 @@ class TestZoneRssiPipeline:
 
     def test_rows_are_self_consistent_with_report(self):
         result = run_zone_rssi(synthetic_rssi_dataset(rows=200, seed=2))
-        agreements = sum(1 for r in result.rows if r.predicted == r.actual)
-        assert agreements / len(result.rows) == pytest.approx(result.report.accuracy)
-        for row in result.rows:
-            scores = np.array([row.confidence[z] for z in ZONES])
+        rows = list(zip(result.actual, result.predicted, result.confidence))
+        agreements = sum(1 for actual, predicted, _ in rows if predicted == actual)
+        assert agreements / len(rows) == pytest.approx(result.report.accuracy)
+        for _, predicted, scores in rows:
             assert scores.sum() == pytest.approx(1.0, abs=1e-9)
-            assert ZONES[int(np.argmax(scores))] == row.predicted
+            assert ZONES[int(np.argmax(scores))] == ZONES[predicted]
 
     def test_single_class_training_predicts_it_with_full_confidence(self):
-        rows = tuple(
-            RssiSample(
-                readings={**dict.fromkeys(ZONES, -120.0), "bedroom": -60.0 - i},
-                label="bedroom",
-            )
-            for i in range(20)
-        )
-        ds = Dataset(rows=rows, schema_tag="rssi", source="test")
+        values = [rssi({"bedroom": -60.0 - i}) for i in range(20)]
+        ds = Dataset("rssi", values, zones=[ZONES.index("bedroom")] * 20, source="test")
         result = run_zone_rssi(ds)
-        for row in result.rows:
-            assert row.predicted == "bedroom"
-            assert row.confidence["bedroom"] == 1.0
+        for predicted, scores in zip(result.predicted, result.confidence):
+            assert ZONES[predicted] == "bedroom"
+            assert scores[ZONES.index("bedroom")] == 1.0
 
     def test_learned_model_agrees_with_rule_on_separable_data(self):
         ds = synthetic_rssi_dataset(rows=400, seed=3)
         result = run_zone_rssi(ds)
         # Rule-based inference on the same rows the learner was tested on.
         by_key = {}
-        for row in ds.rows:
-            by_key.setdefault((tuple(row.vector()), row.label), row)
-        agree = sum(1 for r in result.rows if r.predicted == r.actual)
-        assert agree / len(result.rows) >= 0.99
+        for values, label in zip(ds.values, ds.labels()):
+            by_key.setdefault((tuple(values), label), values)
+        agree = sum(1 for a, p in zip(result.actual, result.predicted) if p == a)
+        assert agree / len(result.predicted) >= 0.99
 
 
 class TestZoneImuPipeline:
@@ -107,17 +100,13 @@ class TestZoneImuPipeline:
         assert features.n_rows <= 200 // 4
 
     def test_windows_never_cross_label_runs(self):
-        rows = tuple(
-            synthetic_imu_dataset(rows=1, seed=i).rows[0] for i in range(8)
+        rows = np.concatenate(
+            [synthetic_imu_dataset(rows=1, seed=i).values for i in range(8)]
         )
         # Alternate labels every row: with window=2, only same-label pairs
         # may form; alternating labels leave nothing.
-        import dataclasses
-
-        alternating = tuple(
-            dataclasses.replace(r, label=ZONES[i % 2]) for i, r in enumerate(rows)
-        )
-        ds = Dataset(rows=alternating, schema_tag="imu", source="test")
+        alternating = [i % 2 for i in range(8)]
+        ds = Dataset("imu", rows, zones=alternating, source="test")
         with pytest.raises(ValidationError, match="window"):
             build_imu_features(ds, window=2)
 
@@ -170,14 +159,14 @@ class TestCoordsPipeline:
         assert report.horizontal_error**2 == pytest.approx(
             report.rmse_x**2 + report.rmse_y**2, abs=1e-9
         )
-        assert len(result.rows_x) == len(result.rows_y) == report.n == 36
+        assert len(result.predicted[:, 0]) == len(result.predicted[:, 1]) == report.n == 36
         # Metrics recomputed from the emitted rows equal the report.
-        errors = [r.predicted - r.actual for r in result.rows_x]
+        errors = result.predicted[:, 0] - result.actual[:, 0]
         assert float(np.sqrt(np.mean(np.square(errors)))) == pytest.approx(
             report.rmse_x, abs=1e-9
         )
         # Auxiliary columns mirror the source rows.
-        assert result.rows_x[0].time.startswith("walk")
+        assert result.times[0].startswith("walk")
 
     def test_forest_reports_importances_others_do_not(self):
         ds = synthetic_walk_dataset(rows=80, noise_sigma=0.05, seed=8)
