@@ -1,5 +1,4 @@
-"""Sensor tables: one schema table, columnar datasets, CSV I/O, splits and
-synthetic data.
+"""Sensor tables: the schema table, columnar datasets, CSV I/O, splits, synthetic data.
 
 Three tables flow through the toolkit, one per tag in ``SCHEMAS``:
 
@@ -27,6 +26,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
 #: The four activity-based zones, in the fixed order used everywhere
 #: (report columns, confidence vectors, tie-breaking).
 ZONES: tuple[str, str, str, str] = ("bedroom", "kitchen", "office", "toilet")
@@ -590,7 +590,8 @@ def synthetic_imu_dataset(rows: int = 400, seed: int = 42, noise: float = 0.45) 
     while len(zones) < rows:
         zone = int(rng.integers(0, len(ZONES)))
         dwell = min(int(rng.integers(8, 26)), rows - len(zones))
-        runs.append(np.array(_IMU_SIGNATURES[ZONES[zone]]) + rng.normal(0.0, noise, size=(dwell, 6)))
+        mean = np.array(_IMU_SIGNATURES[ZONES[zone]])
+        runs.append(mean + rng.normal(0.0, noise, size=(dwell, 6)))
         zones += [zone] * dwell
     values = np.concatenate(runs) if runs else np.empty((0, 6))
     activities = tuple(_ZONE_ACTIVITIES[ZONES[z]] for z in zones)

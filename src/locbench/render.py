@@ -84,14 +84,21 @@ def zone_report_payload(result: ZoneRunResult) -> dict:
     }
 
 
+def _csv_text(header: list[str], columns: list) -> str:
+    """The header line, then one comma-joined line per row of ``columns``."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *zip(*columns)])
+
+
 def zone_predictions_csv(result: ZoneRunResult) -> str:
     header = ["Row No.", "Location", "prediction(Location)"]
     header += [f"confidence({z})" for z in ZONES]
-    lines = [",".join(header)]
-    rows = zip(result.actual.tolist(), result.predicted.tolist(), result.confidence.tolist())
-    for row_no, (actual, predicted, scores) in enumerate(rows, start=1):
-        lines.append(",".join([str(row_no), ZONES[actual], ZONES[predicted], *map(repr, scores)]))
-    return "\n".join(lines) + "\n"
+    columns = [
+        map(str, range(1, len(result.actual) + 1)),
+        map(ZONES.__getitem__, result.actual.tolist()),
+        map(ZONES.__getitem__, result.predicted.tolist()),
+        *(map(repr, scores) for scores in result.confidence.T.tolist()),
+    ]
+    return _csv_text(header, columns)
 
 
 # --------------------------------------------------------------------------
@@ -133,18 +140,14 @@ def coord_predictions_csv(result: CoordsRunResult, axis: str) -> str:
         "Distance C",
         "Time",
     ]
-    lines = [",".join(header)]
-    rows = zip(
-        result.actual[:, column].tolist(),
-        result.predicted[:, column].tolist(),
-        result.distances.tolist(),
+    columns = [
+        map(str, range(1, len(result.times) + 1)),
+        map(repr, result.actual[:, column].tolist()),
+        map(repr, result.predicted[:, column].tolist()),
+        *(map(repr, distances) for distances in result.distances.T.tolist()),
         result.times,
-    )
-    for row_no, (actual, predicted, distances, time) in enumerate(rows, start=1):
-        lines.append(
-            ",".join([str(row_no), repr(actual), repr(predicted), *map(repr, distances), time])
-        )
-    return "\n".join(lines) + "\n"
+    ]
+    return _csv_text(header, columns)
 
 
 # --------------------------------------------------------------------------
