@@ -152,7 +152,7 @@ def _schema(schema_tag: str) -> Schema:
     return schema
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """One sensor table, stored by column.
 
@@ -163,7 +163,7 @@ class Dataset:
     schema lacks stays empty, and empty imu ``activities`` mean no tags.
     Row order is preserved from the source.  ``ingest_notes`` carries
     non-fatal observations made while parsing (e.g. zero-distance
-    readings).
+    readings).  Datasets compare by identity; compare their fields.
     """
 
     schema_tag: str
@@ -244,9 +244,9 @@ def _normalize_column(name: str) -> str:
 def _read_rows(path) -> tuple[dict[str, int], list[list[str]]]:
     """Read a CSV file into (normalized header -> index, the lines after it).
 
-    Blank lines stay in the list as empty records, so line ``i`` of it is
-    physical line ``i + 2`` of the file (the header is row 1) and error
-    messages can be matched against the file directly.
+    Blank lines stay in the list as empty records, so record ``i`` of it is
+    row ``i + 2`` (the header is row 1).  Unless a quoted cell spans
+    lines, row numbers are the file's line numbers.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)

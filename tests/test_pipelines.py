@@ -100,13 +100,13 @@ class TestZoneImuPipeline:
         assert features.n_rows <= 200 // 4
 
     def test_windows_never_cross_label_runs(self):
-        rows = np.concatenate(
+        channels = np.concatenate(
             [synthetic_imu_dataset(rows=1, seed=i).values for i in range(8)]
         )
         # Alternate labels every row: with window=2, only same-label pairs
         # may form; alternating labels leave nothing.
         alternating = [i % 2 for i in range(8)]
-        ds = Dataset("imu", rows, zones=alternating, source="test")
+        ds = Dataset("imu", channels, zones=alternating, source="test")
         with pytest.raises(ValidationError, match="window"):
             build_imu_features(ds, window=2)
 
