@@ -33,7 +33,6 @@ from .data import (
     parse_csv,
     parse_imu_csv,
     parse_rssi_csv,
-    split_data,
     synthetic_imu_dataset,
     synthetic_rssi_dataset,
     synthetic_walk_dataset,

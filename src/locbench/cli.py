@@ -35,6 +35,9 @@ from .pipelines import (
     PipelineConfig,
     compare_models,
     default_comparison_specs,
+    default_coords_config,
+    default_zone_imu_config,
+    default_zone_rssi_config,
     run_coords,
     run_zone_imu,
     run_zone_rssi,
@@ -56,19 +59,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_common(parser, default_ratio: float | None = None) -> None:
-    parser.add_argument("--seed", type=int, default=42, help="master random seed")
-    parser.add_argument(
-        "--out-dir",
-        default=None,
-        help=f"report directory (default: ${OUT_DIR_ENV} or ./out)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "md"),
-        default="md",
-        help="console summary style; report files are always written in full",
-    )
+def _add_common(
+    parser, seed: bool = True, output: bool = True, default_ratio: float | None = None
+) -> None:
+    """Add the shared flags a subcommand reads: --seed, --out-dir and --format, --train-ratio."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=42, help="master random seed")
+    if output:
+        parser.add_argument(
+            "--out-dir",
+            default=None,
+            help=f"report directory (default: ${OUT_DIR_ENV} or ./out)",
+        )
+        parser.add_argument(
+            "--format",
+            choices=("json", "csv", "md"),
+            default="md",
+            help="console summary style; report files are always written in full",
+        )
     if default_ratio is not None:
         parser.add_argument(
             "--train-ratio", type=float, default=default_ratio, help="training fraction"
@@ -79,13 +87,15 @@ def _add_common(parser, default_ratio: float | None = None) -> None:
 _LEARNER_FLAGS = ("k", "trees", "depth", "rate", "layers", "c", "epsilon", "gamma")
 
 
-def _add_learner_flags(parser, default_model: str, choices=FAMILIES) -> None:
+def _add_pipeline_flags(parser, defaults: PipelineConfig, choices=FAMILIES) -> None:
+    """--model and the learner flags, then the common flags, defaulting to ``defaults``."""
     parser.add_argument(
-        "--model", choices=choices, default=default_model, help="learner family"
+        "--model", choices=choices, default=defaults.learner.family, help="learner family"
     )
     for name in _LEARNER_FLAGS:
         param = PARAMS[name]
         parser.add_argument(f"--{name}", type=param.parse, default=None, help=param.help)
+    _add_common(parser, default_ratio=defaults.split.train_ratio)
 
 
 def build_parser() -> _Parser:
@@ -94,8 +104,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zone-rssi", help="classify zones from scanner readings")
     p.add_argument("--data", required=True, help="rssi-schema CSV file")
-    _add_learner_flags(p, "knn", choices=CLASSIFIER_FAMILIES)
-    _add_common(p, default_ratio=0.8)
+    _add_pipeline_flags(p, default_zone_rssi_config(), choices=CLASSIFIER_FAMILIES)
 
     p = sub.add_parser("zone-imu", help="classify zones from motion channels")
     p.add_argument("--data", required=True, help="imu-schema CSV file")
@@ -105,15 +114,16 @@ def build_parser() -> _Parser:
         default=None,
         help="aggregate this many consecutive samples into mean+std features",
     )
-    _add_learner_flags(p, "random_forest", choices=CLASSIFIER_FAMILIES)
-    _add_common(p, default_ratio=0.7)
+    _add_pipeline_flags(p, default_zone_imu_config(), choices=CLASSIFIER_FAMILIES)
 
     p = sub.add_parser("coords", help="regress coordinates from beacon distances")
     p.add_argument("--data", required=True, help="beacon-schema CSV file")
-    _add_learner_flags(p, "random_forest")
-    _add_common(p, default_ratio=0.7)
+    _add_pipeline_flags(p, default_coords_config())
 
-    p = sub.add_parser("compare", help="run all learner families over shared splits")
+    # No prefix matching here: it would read a stray --seed as --seeds.
+    p = sub.add_parser(
+        "compare", help="run all learner families over shared splits", allow_abbrev=False
+    )
     p.add_argument("--data", required=True, help="beacon-schema CSV file")
     p.add_argument(
         "--seeds", default="42", help="seed list: '1..10', '3,7,11', or a single value"
@@ -123,25 +133,24 @@ def build_parser() -> _Parser:
         default=None,
         help=f"comma-separated subset of: {','.join(FAMILIES)}",
     )
-    _add_common(p, default_ratio=0.7)
+    _add_common(p, seed=False, default_ratio=default_coords_config().split.train_ratio)
 
     p = sub.add_parser("validate-activities", help="check activity model files")
     p.add_argument(
         "--file", default=None, help="model file (default: the bundled fixtures)"
     )
-    _add_common(p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=("beacon", "rssi", "imu"), default="beacon")
     p.add_argument("--rows", type=int, default=250)
     p.add_argument("--noise-sigma", type=float, default=0.05, help="distance noise in meters")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
+    _add_common(p, output=False)
 
     p = sub.add_parser("metrics", help="per-axis RMSE and horizontal error from error files")
     p.add_argument("--errors-x", required=True, help="CSV of per-row x errors in cm")
     p.add_argument("--errors-y", required=True, help="CSV of per-row y errors in cm")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     return parser
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -242,11 +242,11 @@ def _normalize_column(name: str) -> str:
 
 
 def _read_rows(path) -> tuple[dict[str, int], list[list[str]]]:
-    """Read a CSV file into (normalized header -> index, the lines after it).
+    """Read a CSV file into (normalized header -> index, the records after it).
 
-    Blank lines stay in the list as empty records, so record ``i`` of it is
-    row ``i + 2`` (the header is row 1).  Unless a quoted cell spans
-    lines, row numbers are the file's line numbers.
+    Blank lines stay in the list as empty records.  A quoted cell may span
+    lines, so a record's place in the list does not give its line in the
+    file; ``_raise_first_fault`` finds that line when it needs it.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -297,24 +297,33 @@ def _parse_columns(schema: Schema, columns: Mapping[str, int], records: list[lis
     return fields
 
 
-def _raise_first_fault(schema: Schema, columns: Mapping[str, int], lines, text) -> None:
-    """Walk the rows in file order and raise the first fault (see ``parse_csv``)."""
-    for line_no, record in enumerate(lines, start=2):
-        if not record:
-            continue
-        for name in schema.numeric:
-            value = _float_cell(record, columns, name, line_no)
-            if name in schema.ranged and not (schema.low <= value <= schema.high):
-                message = schema.range_error.format(
-                    value=value, name=schema.ranged[name], low=schema.low, high=schema.high
-                )
-                raise ValidationError(f"row {line_no}: {message}")
-        for col in text:
-            cell = _cell(record, columns, col.name, line_no)
-            try:
-                col.read(cell)
-            except ParseError as exc:
-                raise ParseError(f"row {line_no}: {exc}") from None
+def _raise_first_fault(path, schema: Schema, columns: Mapping[str, int], text) -> None:
+    """Walk the rows in file order and raise the first fault (see ``parse_csv``).
+
+    The file is read again to learn the line on which each record starts,
+    so a clean parse pays nothing for line numbers.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header
+        start = reader.line_num + 1
+        for record in reader:
+            line_no, start = start, reader.line_num + 1
+            if not record:
+                continue
+            for name in schema.numeric:
+                value = _float_cell(record, columns, name, line_no)
+                if name in schema.ranged and not (schema.low <= value <= schema.high):
+                    message = schema.range_error.format(
+                        value=value, name=schema.ranged[name], low=schema.low, high=schema.high
+                    )
+                    raise ValidationError(f"row {line_no}: {message}")
+            for col in text:
+                cell = _cell(record, columns, col.name, line_no)
+                try:
+                    col.read(cell)
+                except ParseError as exc:
+                    raise ParseError(f"row {line_no}: {exc}") from None
     raise AssertionError("the columnar parse rejected a file with no faulty row")
 
 
@@ -345,7 +354,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     text columns, then the optional columns the header has); a numeric
     cell fails as missing, non-numeric, non-finite, then out of range, a
     text cell as missing, then as an unknown zone.  Blank lines are
-    skipped but counted in row numbers.
+    skipped.  A row is named by the file line on which its record starts.
     """
     schema = _schema(schema_tag)
     columns, lines = _read_rows(path)
@@ -355,7 +364,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     text = schema.text + tuple(col for col in schema.optional if col.name in columns)
     parsed = _parse_columns(schema, columns, [record for record in lines if record], text)
     if parsed is None:
-        _raise_first_fault(schema, columns, lines, text)
+        _raise_first_fault(path, schema, columns, text)
     return Dataset(schema_tag, source=str(path), **parsed)
 
 
@@ -403,46 +412,47 @@ def _train_count(ratio: float, n: int) -> int:
 
 
 def split_indices(
-    n: int, config: SplitConfig, labels: Sequence[str] | None = None
+    n: int, config: SplitConfig, labels: np.ndarray | Sequence[str] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute (train_idx, test_idx) for a seeded shuffle split.
 
     Both index arrays are sorted ascending, disjoint, and together cover
-    0..n-1.  ``labels`` is required when ``config.stratified`` is set; the
-    per-class train count then stays within one row of
-    floor(train_ratio * class_size) while the total is exactly
-    floor(train_ratio * n).
+    0..n-1.  ``labels`` (one per row: zone indices or names) is required
+    when ``config.stratified`` is set; the per-class train count then
+    stays within one row of floor(train_ratio * class_size) while the
+    total is exactly floor(train_ratio * n).  Classes are taken in sorted
+    order, and ``ZONES`` is sorted, so zone names and their indices give
+    the same split.
     """
     if n == 0:
         raise ValidationError("cannot split an empty dataset")
     if config.stratified and labels is None:
         raise ValidationError("stratified split requires labels")
+    if config.stratified and len(labels) != n:
+        raise ValidationError(f"{len(labels)} labels for {n} rows")
     n_train = _train_count(config.train_ratio, n)
     rng = np.random.default_rng(config.seed)
 
     if config.stratified:
-        by_class: dict[str, list[int]] = {}
-        for idx, label in enumerate(labels):
-            by_class.setdefault(label, []).append(idx)
-        classes = sorted(by_class)
-        take = {c: _train_count(config.train_ratio, len(by_class[c])) for c in classes}
+        # Classes in sorted order; each class's rows ascending.
+        _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
+        sizes = sizes.tolist()
+        take = [_train_count(config.train_ratio, size) for size in sizes]
+        classes = range(len(sizes))
         # Per-class floors undershoot the overall floor by at most
         # len(classes) - 1 rows; top up the largest remainders (or, in
         # degenerate rounding cases, trim the smallest) until exact.
-        remainder = lambda c: config.train_ratio * len(by_class[c]) - take[c]
-        while sum(take.values()) < n_train:
-            c = min((c for c in classes if take[c] < len(by_class[c])),
-                    key=lambda c: (-remainder(c), c))
+        remainder = lambda c: config.train_ratio * sizes[c] - take[c]
+        while sum(take) < n_train:
+            c = min((c for c in classes if take[c] < sizes[c]), key=lambda c: (-remainder(c), c))
             take[c] += 1
-        while sum(take.values()) > n_train:
+        while sum(take) > n_train:
             c = min((c for c in classes if take[c] > 0), key=lambda c: (remainder(c), c))
             take[c] -= 1
-        chosen: list[int] = []
-        for c in classes:
-            members = np.array(by_class[c])
-            rng.shuffle(members)
-            chosen.extend(members[: take[c]].tolist())
-        train_idx = np.sort(np.array(chosen, dtype=int))
+        for rows in members:
+            rng.shuffle(rows)
+        train_idx = np.sort(np.concatenate([rows[:t] for rows, t in zip(members, take)]))
     else:
         perm = rng.permutation(n)
         train_idx = np.sort(perm[:n_train])
@@ -450,28 +460,6 @@ def split_indices(
     mask = np.zeros(n, dtype=bool)
     mask[train_idx] = True
     return train_idx, np.nonzero(~mask)[0]
-
-
-def split_data(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset]:
-    """Split a dataset into (train, test) with a seeded shuffle.
-
-    The same (dataset, config) pair always yields the same split.  Rows
-    within each side keep their source order.  Stratified mode requires a
-    labeled (rssi/imu) dataset.
-    """
-    labels = dataset.labels() if config.stratified else None
-    train_idx, test_idx = split_indices(len(dataset), config, labels)
-    schema = SCHEMAS[dataset.schema_tag]
-    make = lambda idx: replace(
-        dataset,
-        values=dataset.values[idx],
-        ingest_notes=(),
-        **{
-            col.attr: tuple(getattr(dataset, col.attr)[i] for i in idx)
-            for col in schema.text + schema.optional
-        },
-    )
-    return make(train_idx), make(test_idx)
 
 
 # --------------------------------------------------------------------------

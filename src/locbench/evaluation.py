@@ -64,9 +64,11 @@ class ClassificationReport:
 
 
 def confusion_matrix(
-    truth: Sequence[str], predicted: Sequence[str], classes: Sequence[str] = ZONES
+    truth: Sequence[int], predicted: Sequence[int], classes: Sequence[str] = ZONES
 ) -> ConfusionMatrix:
-    """Tally predictions against ground truth."""
+    """Tally predictions against ground truth, both given as indices into ``classes``."""
+    truth = np.asarray(truth)
+    predicted = np.asarray(predicted)
     if len(truth) != len(predicted):
         raise ValidationError(
             f"length mismatch: {len(truth)} truth labels vs {len(predicted)} predictions"
@@ -74,14 +76,14 @@ def confusion_matrix(
     if len(truth) == 0:
         raise ValidationError("cannot build a confusion matrix from zero samples")
     classes = tuple(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, p in zip(truth, predicted):
-        if t not in index:
-            raise ValidationError(f"true label {t!r} not in classes {classes}")
-        if p not in index:
-            raise ValidationError(f"predicted label {p!r} not in classes {classes}")
-        counts[index[p], index[t]] += 1
+    k = len(classes)
+    for kind, labels in (("true", truth), ("predicted", predicted)):
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValidationError(f"{kind} labels must be a 1-D array of class indices")
+        if ((labels < 0) | (labels >= k)).any():
+            raise ValidationError(f"{kind} label index outside 0..{k - 1} (classes {classes})")
+    cells = predicted.astype(np.intp) * k + truth.astype(np.intp)
+    counts = np.bincount(cells, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(classes=classes, counts=counts)
 
 
@@ -146,6 +148,8 @@ def regression_report(errors_x: Sequence[float], errors_y: Sequence[float]) -> R
         raise ValidationError(
             f"length mismatch: {len(errors_x)} x-errors vs {len(errors_y)} y-errors"
         )
+    errors_x = np.asarray(errors_x, dtype=float)
+    errors_y = np.asarray(errors_y, dtype=float)
     ex = rmse(errors_x)
     ey = rmse(errors_y)
     return RegressionReport(
@@ -153,8 +157,8 @@ def regression_report(errors_x: Sequence[float], errors_y: Sequence[float]) -> R
         rmse_y=ey,
         horizontal_error=horizontal_error(ex, ey),
         n=len(errors_x),
-        errors_x=tuple(float(e) for e in errors_x),
-        errors_y=tuple(float(e) for e in errors_y),
+        errors_x=tuple(errors_x.tolist()),
+        errors_y=tuple(errors_y.tolist()),
     )
 
 

@@ -13,6 +13,7 @@ same splits and ranks them by the three regression metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -147,23 +148,21 @@ def build_imu_features(
     if window is None or window == 1:
         return FeatureMatrix(values=channels, columns=IMU_FEATURES), labels
 
-    feat_rows = []
-    feat_labels = []
-    run_start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[run_start]:
-            run = channels[run_start:i]
-            for w0 in range(0, len(run) - window + 1, window):
-                chunk = run[w0 : w0 + window]
-                feat_rows.append(np.concatenate([chunk.mean(axis=0), chunk.std(axis=0)]))
-                feat_labels.append(labels[run_start])
-            run_start = i
-    if not feat_rows:
+    if window < 1:
+        raise ValidationError(f"window must be >= 1, got {window}")
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # the first row of each run
+    lengths = np.diff(starts, append=len(labels))
+    offset = np.arange(len(labels)) - np.repeat(starts, lengths)  # each row's place in its run
+    left = np.repeat(lengths, lengths) - offset  # rows from this one to the end of its run
+    first = np.flatnonzero((offset % window == 0) & (left >= window))  # each window's first row
+    if len(first) == 0:
         raise ValidationError(
             f"window={window} leaves no complete windows; dataset runs are too short"
         )
+    chunks = channels[first[:, None] + np.arange(window)]  # (windows, window, channels)
     columns = tuple(f"{c}_mean" for c in IMU_FEATURES) + tuple(f"{c}_std" for c in IMU_FEATURES)
-    return FeatureMatrix(values=np.array(feat_rows), columns=columns), np.array(feat_labels)
+    values = np.concatenate([chunks.mean(axis=1), chunks.std(axis=1)], axis=1)
+    return FeatureMatrix(values=values, columns=columns), labels[first]
 
 
 def build_beacon_features(
@@ -182,7 +181,7 @@ def build_beacon_features(
 
 
 def _split(
-    n: int, config: SplitConfig, labels: Sequence[str] | None = None
+    n: int, config: SplitConfig, labels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``split_indices``, refusing a split that leaves either side empty."""
     train_idx, test_idx = split_indices(n, config, labels=labels)
@@ -212,15 +211,13 @@ class ZoneRunResult:
 
 
 def _run_zone(features: FeatureMatrix, labels: np.ndarray, config: PipelineConfig) -> ZoneRunResult:
-    train_idx, test_idx = _split(features.n_rows, config.split, [ZONES[i] for i in labels])
+    train_idx, test_idx = _split(features.n_rows, config.split, labels)
     stats, X_train = standardize(features.values[train_idx])
     X_test = stats.transform(features.values[test_idx])
     model = fit_classifier(config.learner, X_train, labels[train_idx], n_classes=len(ZONES))
     predicted, confidence = prediction_from_scores(model.predict_confidence(X_test))
     actual = labels[test_idx]
-    report = classification_report(
-        confusion_matrix([ZONES[i] for i in actual], [ZONES[i] for i in predicted])
-    )
+    report = classification_report(confusion_matrix(actual, predicted))
     return ZoneRunResult(
         report=report,
         test_idx=test_idx,
@@ -370,10 +367,10 @@ def compare_models(
     specs = tuple(specs) if specs is not None else default_comparison_specs()
     if not specs:
         raise ValidationError("at least one learner family is required")
-    families = [s.family for s in specs]
-    repeated = sorted({f for f in families if families.count(f) > 1})
-    if repeated:
-        raise ValidationError(f"learner families repeat: {', '.join(repeated)}")
+    for what, values in (("learner families", [s.family for s in specs]), ("seeds", seeds)):
+        repeated = sorted(v for v, count in Counter(values).items() if count > 1)
+        if repeated:
+            raise ValidationError(f"{what} repeat: {', '.join(map(str, repeated))}")
     features, pos_x, pos_y, times = build_beacon_features(dataset)
 
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}

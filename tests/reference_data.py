@@ -1,12 +1,16 @@
-"""Reference row parsers for the differential parse test.
+"""Reference loops for the differential parse, split and window tests.
 
-These are the per-row CSV parsers that ``locbench.data`` used before it
+The per-row CSV parsers are the ones ``locbench.data`` used before it
 parsed by column, kept here so the columnar parse can be checked against
 them.  Each walks the rows in file order and raises on the first faulty
 cell; on success it returns the parsed table as plain Python values:
 ``values`` (one list of floats per row, schema column order), ``zones``,
 ``times``, ``activities`` and ``notes``.  A field the schema lacks is an
 empty list.
+
+``split_indices`` and ``imu_windows`` are the per-row loops that grouped
+rows by class for the stratified split and cut motion windows before
+both became array arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import csv
 import math
 import re
+
+import numpy as np
 
 from locbench.data import ParseError, SchemaError, ValidationError, ZONES
 
@@ -149,3 +155,65 @@ def parse_imu_csv(path):
 
 
 PARSERS = {"beacon": parse_beacon_csv, "rssi": parse_rssi_csv, "imu": parse_imu_csv}
+
+
+def split_indices(n, config, labels=None):
+    """The seeded split, grouping the stratified classes row by row."""
+    if n == 0:
+        raise ValidationError("cannot split an empty dataset")
+    if config.stratified and labels is None:
+        raise ValidationError("stratified split requires labels")
+    n_train = int(math.floor(config.train_ratio * n + 1e-9))
+    rng = np.random.default_rng(config.seed)
+
+    if config.stratified:
+        by_class = {}
+        for idx, label in enumerate(labels):
+            by_class.setdefault(label, []).append(idx)
+        classes = sorted(by_class)
+        take = {
+            c: int(math.floor(config.train_ratio * len(by_class[c]) + 1e-9)) for c in classes
+        }
+        remainder = lambda c: config.train_ratio * len(by_class[c]) - take[c]
+        while sum(take.values()) < n_train:
+            c = min((c for c in classes if take[c] < len(by_class[c])),
+                    key=lambda c: (-remainder(c), c))
+            take[c] += 1
+        while sum(take.values()) > n_train:
+            c = min((c for c in classes if take[c] > 0), key=lambda c: (remainder(c), c))
+            take[c] -= 1
+        chosen = []
+        for c in classes:
+            members = np.array(by_class[c])
+            rng.shuffle(members)
+            chosen.extend(members[: take[c]].tolist())
+        train_idx = np.sort(np.array(chosen, dtype=int))
+    else:
+        perm = rng.permutation(n)
+        train_idx = np.sort(perm[:n_train])
+
+    mask = np.zeros(n, dtype=bool)
+    mask[train_idx] = True
+    return train_idx, np.nonzero(~mask)[0]
+
+
+def imu_windows(channels, labels, window):
+    """(mean+std features, labels) of non-overlapping windows inside label runs."""
+    if window is None or window == 1:
+        return channels, labels
+    feat_rows = []
+    feat_labels = []
+    run_start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[run_start]:
+            run = channels[run_start:i]
+            for w0 in range(0, len(run) - window + 1, window):
+                chunk = run[w0 : w0 + window]
+                feat_rows.append(np.concatenate([chunk.mean(axis=0), chunk.std(axis=0)]))
+                feat_labels.append(labels[run_start])
+            run_start = i
+    if not feat_rows:
+        raise ValidationError(
+            f"window={window} leaves no complete windows; dataset runs are too short"
+        )
+    return np.array(feat_rows), np.array(feat_labels)

@@ -255,8 +255,8 @@ class TestMetrics:
 
 
 class TestValidateActivities:
-    def test_bundled_fixtures_pass(self, capsys, tmp_path):
-        assert run(["validate-activities", "--out-dir", str(tmp_path)]) == 0
+    def test_bundled_fixtures_pass(self, capsys):
+        assert run(["validate-activities"]) == 0
         console = capsys.readouterr().out
         assert console.count("pass") >= 2
 
@@ -267,21 +267,21 @@ class TestValidateActivities:
             "1, a, 0.5, c, 0.5, core|start|end\n"
             "2, b, 0.4, d, 0.4, -\n"  # weights sum to 0.9
         )
-        code = run(["validate-activities", "--file", str(path), "--out-dir", str(tmp_path)])
+        code = run(["validate-activities", "--file", str(path)])
         assert code == 1
         assert "weight sum" in capsys.readouterr().out
 
     def test_empty_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        code = run(["validate-activities", "--file", str(path), "--out-dir", str(tmp_path)])
+        code = run(["validate-activities", "--file", str(path)])
         assert code == 1
         assert "no models found" in capsys.readouterr().err
 
     def test_non_utf8_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
         path.write_bytes("model: caf\xe9\nthreshold: 0.9\n".encode("latin-1"))
-        code = run(["validate-activities", "--file", str(path), "--out-dir", str(tmp_path)])
+        code = run(["validate-activities", "--file", str(path)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: file is not UTF-8 text\n"
 
@@ -332,12 +332,33 @@ class TestBadArguments:
             ["coords", "--model", "svr", "--gamma", "inf"],
             ["compare", "--families", "knn,knn"],
             ["compare", "--families", ","],
+            ["compare", "--seeds", "3,3", "--families", "linear_regression"],
         ],
     )
     def test_unparsable_values_exit_one(self, argv, beacon_csv, tmp_path, capsys):
         code = run(argv + ["--data", str(beacon_csv), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compare", "--data", "{data}"], ["--seed", "7"]),
+            (["synth", "--out", "{data}"], ["--out-dir", "{out}"]),
+            (["synth", "--out", "{data}"], ["--format", "json"]),
+            (["validate-activities"], ["--seed", "7"]),
+            (["validate-activities"], ["--out-dir", "{out}"]),
+            (["validate-activities"], ["--format", "json"]),
+            (["metrics", "--errors-x", "{data}", "--errors-y", "{data}"], ["--seed", "7"]),
+        ],
+        ids=lambda parts: parts[0],
+    )
+    def test_flags_a_subcommand_does_not_read_exit_one(self, argv, flag, tmp_path, capsys):
+        paths = {"data": str(tmp_path / "data.csv"), "out": str(tmp_path / "out")}
+        flag = [part.format(**paths) for part in flag]
+        assert run([part.format(**paths) for part in argv] + flag) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
         assert not (tmp_path / "out").exists()
 
     def test_negative_synth_rows_exit_one(self, tmp_path, capsys):
@@ -375,6 +396,17 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
         assert not (tmp_path / "out").exists()
+
+    def test_row_after_a_multiline_cell_is_named_by_its_line(self, tmp_path, capsys):
+        data = tmp_path / "multiline.csv"
+        header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"
+        # Line 2 holds a quoted time cell that ends on line 3; line 5 is faulty.
+        rows = '1,2,0.5,0.6,0.7,"t\n0"\n1,2,0.5,0.6,0.7,t1\n1,2,oops,0.6,0.7,t2\n'
+        data.write_text(header + rows)
+        code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 5: non-numeric value 'oops' in column 'distance_a'\n"
 
     @pytest.mark.parametrize(
         "argv",

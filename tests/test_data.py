@@ -17,7 +17,7 @@ from locbench.data import (
     parse_beacon_csv,
     parse_imu_csv,
     parse_rssi_csv,
-    split_data,
+    split_indices,
     synthetic_rssi_dataset,
     synthetic_walk_dataset,
     write_csv,
@@ -198,12 +198,6 @@ def beacon_dataset(n):
     return Dataset("beacon", values, times=times, source="test")
 
 
-def labeled_dataset(labels):
-    values = np.full((len(labels), len(ZONES)), -120.0)
-    zones = [ZONES.index(label) for label in labels]
-    return Dataset("rssi", values, zones=zones, source="test")
-
-
 def beacon_rows(ds):
     """The rows of a beacon dataset as (x, y, a, b, c, time) tuples."""
     return [(*row, time) for row, time in zip(ds.values.tolist(), ds.times)]
@@ -211,30 +205,33 @@ def beacon_rows(ds):
 
 class TestSplitData:
     def test_250_rows_at_70_percent(self):
-        train, test = split_data(beacon_dataset(250), SplitConfig(train_ratio=0.7, seed=1))
+        train, test = split_indices(250, SplitConfig(train_ratio=0.7, seed=1))
         assert (len(train), len(test)) == (175, 75)
 
     def test_ratio_one_keeps_everything_in_train(self):
-        train, test = split_data(beacon_dataset(10), SplitConfig(train_ratio=1.0, seed=1))
+        train, test = split_indices(10, SplitConfig(train_ratio=1.0, seed=1))
         assert (len(train), len(test)) == (10, 0)
 
     def test_same_config_gives_identical_split(self):
-        ds = beacon_dataset(40)
         cfg = SplitConfig(train_ratio=0.6, seed=9)
-        first = split_data(ds, cfg)
-        second = split_data(ds, cfg)
-        assert beacon_rows(first[0]) == beacon_rows(second[0])
-        assert beacon_rows(first[1]) == beacon_rows(second[1])
+        first = split_indices(40, cfg)
+        second = split_indices(40, cfg)
+        assert first[0].tolist() == second[0].tolist()
+        assert first[1].tolist() == second[1].tolist()
 
     def test_different_seeds_differ(self):
-        ds = beacon_dataset(60)
-        a, _ = split_data(ds, SplitConfig(train_ratio=0.5, seed=1))
-        b, _ = split_data(ds, SplitConfig(train_ratio=0.5, seed=2))
-        assert beacon_rows(a) != beacon_rows(b)
+        a, _ = split_indices(60, SplitConfig(train_ratio=0.5, seed=1))
+        b, _ = split_indices(60, SplitConfig(train_ratio=0.5, seed=2))
+        assert a.tolist() != b.tolist()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
-            split_data(Dataset("beacon", values=()), SplitConfig(train_ratio=0.5))
+            split_indices(0, SplitConfig(train_ratio=0.5))
+
+    @pytest.mark.parametrize("n_labels", [3, 10])
+    def test_stratified_label_count_must_match_rows(self, n_labels):
+        with pytest.raises(ValidationError, match=f"^{n_labels} labels for 5 rows$"):
+            split_indices(5, SplitConfig(train_ratio=0.5, stratified=True), [0] * n_labels)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValidationError):
@@ -249,12 +246,10 @@ class TestSplitData:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_partition_identity(self, n, ratio, seed):
-        ds = beacon_dataset(n)
-        train, test = split_data(ds, SplitConfig(train_ratio=ratio, seed=seed))
+        train, test = split_indices(n, SplitConfig(train_ratio=ratio, seed=seed))
         assert len(train) == math.floor(ratio * n + 1e-9)
         assert len(train) + len(test) == n
-        merged = sorted(beacon_rows(train) + beacon_rows(test), key=lambda r: r[0])
-        assert merged == sorted(beacon_rows(ds), key=lambda r: r[0])
+        assert sorted(train.tolist() + test.tolist()) == list(range(n))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,11 +259,11 @@ class TestSplitData:
     )
     def test_stratified_class_counts_within_one(self, sizes, ratio, seed):
         labels = [z for z, size in zip(ZONES, sizes) for _ in range(size)]
-        ds = labeled_dataset(labels)
-        train, test = split_data(ds, SplitConfig(train_ratio=ratio, seed=seed, stratified=True))
+        cfg = SplitConfig(train_ratio=ratio, seed=seed, stratified=True)
+        train, test = split_indices(len(labels), cfg, labels)
         assert len(train) == math.floor(ratio * len(labels) + 1e-9)
         for zone, size in zip(ZONES, sizes):
-            got = sum(1 for label in train.labels() if label == zone)
+            got = sum(1 for i in train if labels[i] == zone)
             assert abs(got - math.floor(ratio * size + 1e-9)) <= 1
 
 
