@@ -53,6 +53,8 @@ class CliUsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        # No prefix matching: it would read --out as --out-dir, --seed as --seeds.
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
 
     def error(self, message):  # reject unknown flags with exit code 1, not 2
@@ -120,10 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="beacon-schema CSV file")
     _add_pipeline_flags(p, default_coords_config())
 
-    # No prefix matching here: it would read a stray --seed as --seeds.
-    p = sub.add_parser(
-        "compare", help="run all learner families over shared splits", allow_abbrev=False
-    )
+    p = sub.add_parser("compare", help="run all learner families over shared splits")
     p.add_argument("--data", required=True, help="beacon-schema CSV file")
     p.add_argument(
         "--seeds", default="42", help="seed list: '1..10', '3,7,11', or a single value"

@@ -4,13 +4,24 @@ Distance ties at the k-th neighbor resolve to the lowest training row
 index (stable sort order).  Standardize features upstream; raw distances
 are otherwise dominated by large-scale columns.
 
-Queries are processed in blocks of at most ``_BLOCK_ELEMENTS`` difference
-elements (block rows x training rows x features, one query row at least),
-so memory is bounded by one block, not by the number of queries.  Each
-squared distance is the sum of squared coordinate differences, never the
-||a||^2 + ||b||^2 - 2ab expansion, which can reorder exact ties.  The k
-nearest rows are picked by a linear-time partition and then ordered by
-(distance, training row index): exactly the first k of a stable argsort.
+Each squared distance is the sum of squared coordinate differences, never
+the ||a||^2 + ||b||^2 - 2ab expansion, which can reorder exact ties.  The
+sum runs in a fixed order, the lane rule (``_lane_columns``): two lanes,
+lane l holding the columns j with j = l (mod 2).  While at least 8 columns
+remain from column c, lane l adds c+6+l, c+4+l, c+2+l and c+l, in that
+order, and c advances by 8; each remaining column is then added to its
+lane in ascending order, and the distance is lane 0 + lane 1.  It is the
+order numpy's ``einsum("qnp,qnp->qn")`` kernel sums in (numpy 2.4), so
+distances and ties equal that whole-tensor reference bit for bit.
+
+Queries are processed in blocks of at most ``_BLOCK_ELEMENTS`` distance
+cells (block rows x training rows, one query row at least).  Distances are
+built one feature column at a time into (block rows x training rows)
+buffers that are allocated once per ``predict_knn`` call and reused for
+every block, so memory is bounded by three such buffers, not by the number
+of queries or features.  The k nearest rows are picked by a linear-time
+partition and then ordered by (distance, training row index): exactly the
+first k of a stable argsort.
 """
 
 from __future__ import annotations
@@ -21,8 +32,9 @@ import numpy as np
 
 from ..data import ValidationError
 
-# Elements of one float64 difference block: 2**20 is 8 MiB.
-_BLOCK_ELEMENTS = 1 << 20
+# Distance cells (query rows x training rows) in one block: 2**15 float64
+# cells are 256 KiB per buffer.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,28 +80,64 @@ def fit_knn(X, y, *, k: int = 5, task: str = "regression", n_classes: int | None
     return KnnModel(X=X, y=y, k=k, task=task, n_classes=n_classes)
 
 
+def _lane_columns(p: int) -> tuple[list[int], list[int]]:
+    """The feature columns each of the two lanes adds, in order (see the module docstring)."""
+    lanes: tuple[list[int], list[int]] = ([], [])
+    c = 0
+    while p - c >= 8:
+        for lane in (0, 1):
+            lanes[lane].extend((c + 6 + lane, c + 4 + lane, c + 2 + lane, c + lane))
+        c += 8
+    for j in range(c, p):
+        lanes[j % 2].append(j)
+    return lanes
+
+
+def _block_distances(
+    queries: np.ndarray, columns: np.ndarray, d2: np.ndarray, lane: np.ndarray, square: np.ndarray
+) -> np.ndarray:
+    """Squared distances of ``queries`` to the training rows, written into ``d2``.
+
+    ``columns`` is the training matrix transposed (features x training rows);
+    ``d2``, ``lane`` and ``square`` are (query rows x training rows) buffers,
+    the last two scratch.  Lane 0 sums into ``d2``, lane 1 into ``lane``.
+    """
+    for total, cols in zip((d2, lane), _lane_columns(len(columns))):
+        for i, j in enumerate(cols):
+            out = square if i else total
+            np.subtract(queries[:, j, None], columns[j], out=out)
+            np.multiply(out, out, out=out)
+            if i:
+                np.add(total, square, out=total)
+    if len(columns) == 0:
+        d2.fill(0.0)
+    elif len(columns) > 1:
+        np.add(d2, lane, out=d2)
+    return d2
+
+
 def _nearest_in_block(d2: np.ndarray, k: int) -> np.ndarray:
     """First k columns of ``np.argsort(d2, axis=1, kind="stable")``."""
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    take = d2 < kth
-    # Fewer than k rows lie strictly closer; fill the rest with the
-    # lowest-index rows at exactly the k-th distance.
-    need = k - take.sum(axis=1, keepdims=True)
-    eq = d2 == kth
-    take |= eq & (np.cumsum(eq, axis=1) <= need)
-    idx = np.nonzero(take)[1].reshape(len(d2), k)
-    order = np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1)
+    # Every cell at most the k-th distance is a candidate, at least k per
+    # row; order them by (row, distance, column) and keep each row's first k.
+    rows, cols = np.nonzero(d2 <= kth)
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    firsts = np.searchsorted(rows, np.arange(len(d2)))[:, None] + np.arange(k)
+    return cols[order[firsts]]
 
 
 def _neighbor_indices(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    X = model.X
-    rows = max(1, _BLOCK_ELEMENTS // max(1, X.size))
+    n = len(model.X)
+    rows = max(1, min(len(queries), _BLOCK_ELEMENTS // n))
+    columns = np.ascontiguousarray(model.X.T)
+    d2, lane, square = np.empty((3, rows, n))
     nearest = np.empty((len(queries), model.k), dtype=np.intp)
     for start in range(0, len(queries), rows):
-        diff = queries[start : start + rows, None, :] - X[None, :, :]
-        d2 = np.einsum("qnp,qnp->qn", diff, diff)
-        nearest[start : start + rows] = _nearest_in_block(d2, model.k)
+        block = queries[start : start + rows]
+        m = len(block)
+        _block_distances(block, columns, d2[:m], lane[:m], square[:m])
+        nearest[start : start + m] = _nearest_in_block(d2[:m], model.k)
     return nearest
 
 

@@ -114,8 +114,8 @@ def coords_report_payload(result: CoordsRunResult) -> dict:
         "rmse_y_cm": result.report.rmse_y,
         "horizontal_error_cm": result.report.horizontal_error,
         "n": result.report.n,
-        "errors_x_cm": list(result.report.errors_x),
-        "errors_y_cm": list(result.report.errors_y),
+        "errors_x_cm": result.report.errors_x,
+        "errors_y_cm": result.report.errors_y,
     }
     if result.importance_x is not None:
         payload["feature_importance"] = {

@@ -351,6 +351,9 @@ class TestBadArguments:
             (["validate-activities"], ["--out-dir", "{out}"]),
             (["validate-activities"], ["--format", "json"]),
             (["metrics", "--errors-x", "{data}", "--errors-y", "{data}"], ["--seed", "7"]),
+            # Abbreviations are not expanded to the flags they begin.
+            (["coords", "--data", "{data}"], ["--out", "{out}"]),
+            (["zone-imu", "--data", "{data}"], ["--wind", "3"]),
         ],
         ids=lambda parts: parts[0],
     )

@@ -26,6 +26,24 @@ def reference_neighbor_indices(X, queries, k):
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def lane_rule_distance(a, b):
+    """Independent oracle of the kernel's summation order, in Python floats:
+    two lanes, lane l holding the columns j = l (mod 2); per run of 8
+    columns from c, lane l adds c+6+l, c+4+l, c+2+l, c+l; the rest go to
+    their lane in ascending order; the distance is lane 0 + lane 1."""
+    squares = [(x - y) * (x - y) for x, y in zip(a, b)]
+    lanes = [0.0, 0.0]
+    c = 0
+    while len(squares) - c >= 8:
+        for lane in (0, 1):
+            for offset in (6, 4, 2, 0):
+                lanes[lane] += squares[c + offset + lane]
+        c += 8
+    for j in range(c, len(squares)):
+        lanes[j % 2] += squares[j]
+    return lanes[0] + lanes[1]
+
+
 def reference_votes(y, nearest, n_classes, k):
     conf = np.zeros((len(nearest), n_classes))
     for row, idx in enumerate(nearest):
@@ -137,17 +155,17 @@ class TestKnnValidation:
 
 
 @st.composite
-def knn_cases(draw):
+def knn_cases(draw, p=st.integers(1, 4), scale=1.0):
     n = draw(st.integers(1, 25))
-    p = draw(st.integers(1, 4))
+    p = draw(p)
     row = st.lists(st.integers(-2, 2), min_size=p, max_size=p)  # a small grid: many exact ties
-    grid_rows = lambda count: np.array(draw(st.lists(row, min_size=count, max_size=count)), float)
+    grid_rows = lambda count: scale * np.array(draw(st.lists(row, min_size=count, max_size=count)))
     X = grid_rows(n)
     copies = draw(st.lists(st.integers(0, n - 1), max_size=5))
     X = np.vstack([X, X[copies]])  # exact duplicate training rows
     queries = grid_rows(draw(st.integers(1, 30)))
     k = draw(st.integers(1, len(X)))
-    block = draw(st.sampled_from([1, len(X) * p, 3 * len(X) * p + 1, 1 << 20]))
+    block = draw(st.sampled_from([1, len(X), 3 * len(X) + 1, 1 << 20]))  # distance cells
     return X, queries, k, block
 
 
@@ -168,6 +186,39 @@ class TestBlockedNeighbors:
         assert mean.tobytes() == y_reg[expected].mean(axis=1).tobytes()
         assert votes.tobytes() == reference_votes(y_cls, expected, 3, k).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(knn_cases(p=st.integers(0, 12), scale=0.1))
+    def test_near_ties_match_both_references(self, case):
+        # Scaled by 0.1, distances that tie on paper differ in their last
+        # bits by summation order, so only einsum's order gives these ties.
+        X, queries, k, block = case
+        model = fit_knn(X, np.zeros(len(X)), k=k)
+        with mock.patch.object(neighbors, "_BLOCK_ELEMENTS", block):
+            nearest = neighbors._neighbor_indices(model, queries)
+        assert np.array_equal(nearest, reference_neighbor_indices(X, queries, k))
+        for q, found in zip(queries, nearest):
+            d2 = lambda rows: sorted(float(np.sum((X[i] - q) ** 2)) for i in rows)
+            assert d2(found) == pytest.approx(d2(brute_force_neighbors(X, q, k)), rel=1e-12)
+
+    @pytest.mark.parametrize("p", range(25))
+    def test_block_distances_follow_the_lane_rule_bit_for_bit(self, p):
+        rng = np.random.default_rng(p)
+        X = rng.normal(size=(40, p)) * rng.uniform(0.01, 100.0, size=p)
+        queries = rng.normal(size=(6, p)) * 10.0
+        d2 = neighbors._block_distances(
+            queries, np.ascontiguousarray(X.T), *np.empty((3, len(queries), len(X)))
+        )
+        expected = [[lane_rule_distance(q, x) for x in X.tolist()] for q in queries.tolist()]
+        assert d2.tolist() == expected
+
+    @pytest.mark.parametrize("block", [1, 1 << 15])
+    def test_no_features_gives_the_first_k_rows(self, block):
+        model = fit_knn(np.zeros((6, 0)), np.arange(6.0), k=4)
+        with mock.patch.object(neighbors, "_BLOCK_ELEMENTS", block):
+            nearest = neighbors._neighbor_indices(model, np.zeros((3, 0)))
+        assert nearest.tolist() == [[0, 1, 2, 3]] * 3
+        assert predict_knn(model, np.zeros((3, 0))).tolist() == [1.5] * 3
+
     def test_zero_queries(self):
         model = fit_knn(np.zeros((4, 2)), np.zeros(4, int), k=2, task="classification", n_classes=3)
         assert predict_knn(model, np.zeros((0, 2))).shape == (0, 3)
@@ -176,7 +227,10 @@ class TestBlockedNeighbors:
 class TestKnnMemory:
     """Peak memory is one distance block, whatever the number of queries."""
 
-    LIMIT = 32 * 2**20  # bytes; one whole-matrix difference tensor here is 512 MiB
+    # bytes: three 2**15-cell distance buffers and np.partition's copy are
+    # 1 MiB, the transposed training rows 0.25 MiB, the per-query outputs
+    # under 0.25 MiB; one whole-matrix difference tensor here is 512 MiB.
+    LIMIT = 4 * 2**20
 
     @staticmethod
     def traced_peak(model, queries):

@@ -23,7 +23,7 @@ from locbench.pipelines import (
     zone_from_rssi_rule,
 )
 from locbench.render import comparison_csv, comparison_markdown, to_json
-from locbench.render import comparison_report_payload
+from locbench.render import comparison_report_payload, coords_report_payload
 
 
 def rssi(readings):
@@ -167,6 +167,19 @@ class TestCoordsPipeline:
         )
         # Auxiliary columns mirror the source rows.
         assert result.times[0].startswith("walk")
+
+    def test_report_payload_passes_the_error_tuples_through(self):
+        ds = synthetic_walk_dataset(rows=60, noise_sigma=0.05, seed=7)
+        config = PipelineConfig(
+            learner=LearnerSpec(family="linear_regression"),
+            split=SplitConfig(train_ratio=0.7, seed=7),
+        )
+        result = run_coords(ds, config)
+        payload = coords_report_payload(result)
+        # json.dumps writes a tuple as it writes a list, so no copy is made.
+        assert payload["errors_x_cm"] is result.report.errors_x
+        assert payload["errors_y_cm"] is result.report.errors_y
+        assert to_json(payload["errors_x_cm"]) == to_json(list(result.report.errors_x))
 
     def test_forest_reports_importances_others_do_not(self):
         ds = synthetic_walk_dataset(rows=80, noise_sigma=0.05, seed=8)
