@@ -62,6 +62,22 @@ CASES = {
             "report.json": "6af2dae5ac3f6bba3a30e43076d4c675b0f05335b7d99dac95b0030dc233402d",
         },
     ),
+    "zone-imu-ann": (
+        ["zone-imu", "--data", "{imu}", "--model", "ann"],
+        {
+            "confusion.md": "0dc75211c6189336245b70e1ac25d925accf3ff7d89e9bc3aa608c5c0917b1f2",
+            "predictions.csv": "0e13b6f41f9d6d402e1953249b7e270701da75de82a792c18774c2abd07a1163",
+            "report.json": "4258faa998ca288a7ba396a4066cbe1cb5662532ac09913df599fd05f24c3429",
+        },
+    ),
+    "zone-rssi-deep-learning": (
+        ["zone-rssi", "--data", "{rssi}", "--model", "deep_learning"],
+        {
+            "confusion.md": "92a6328e6d61dd22b185ef658dc35e54612e71966152ae6025cf07dfd8de95ef",
+            "predictions.csv": "c6ac6aed56fc676f3ddf98af358228425a26ac6d448ca584cd14ef9463a3184e",
+            "report.json": "b09acedde7be57bc206f9773889f03355eb119fbf84c9e0af017b2ccd15547d8",
+        },
+    ),
     "coords-forest": (
         ["coords", "--data", "{beacon}"],
         {
