@@ -45,6 +45,9 @@ from .pipelines import (
 
 OUT_DIR_ENV = "LOCBENCH_OUT_DIR"
 
+#: Most seeds one ``compare --seeds`` may name; every seed refits each family.
+MAX_SEEDS = 1000
+
 
 class CliUsageError(ValueError):
     pass
@@ -182,17 +185,23 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             start, _, stop = text.partition("..")
-            return tuple(range(int(start), int(stop) + 1))
-        return tuple(int(v) for v in text.split(",") if v)
+            seeds = range(int(start), int(stop) + 1)
+            count = max(0, seeds.stop - seeds.start)
+        else:
+            seeds = [int(v) for v in text.split(",") if v]
+            count = len(seeds)
     except ValueError:
         raise CliUsageError(
             f"--seeds expects 'A..B', 'A,B,...' or one integer, got {text!r}"
         ) from None
+    if count > MAX_SEEDS:
+        raise CliUsageError(f"--seeds names {count} seeds; at most {MAX_SEEDS} are allowed")
+    return tuple(seeds)
 
 
 def _read_error_column(path) -> list[float]:
     values = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             lines = handle.readlines()
         except UnicodeDecodeError:

@@ -6,6 +6,11 @@ Regression trains on squared loss with targets scaled into [0, 1]
 internally (inverted at predict time); classification trains on softmax
 cross-entropy.  Weights initialize uniformly in +/- 1/sqrt(fan_in),
 biases at zero.
+
+A training step runs one forward pass over its batch and computes the
+gradients only; ``epoch_losses`` holds the full-data loss after each
+epoch.  The sigmoid needs no masks: ``exp(-|z|)`` never overflows and
+gives each element the same expression as the split formula.
 """
 
 from __future__ import annotations
@@ -19,12 +24,9 @@ from .base import TrainingDivergedError
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below zero.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -61,17 +63,22 @@ class MlpNetwork:
     def _act(self, z: np.ndarray) -> np.ndarray:
         return _sigmoid(z) if self.activation == "sigmoid" else np.maximum(z, 0.0)
 
-    def _act_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return a * (1.0 - a) if self.activation == "sigmoid" else (z > 0).astype(float)
+    def _act_grad(self, a: np.ndarray) -> np.ndarray:
+        # For ReLU, a > 0 exactly where z > 0, since a = max(z, 0).
+        return a * (1.0 - a) if self.activation == "sigmoid" else (a > 0).astype(float)
+
+    def _layers(self, X: np.ndarray) -> list[np.ndarray]:
+        """The input, each hidden activation, then the raw output."""
+        layers = [np.asarray(X, dtype=float)]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            layers.append(self._act(layers[-1] @ W + b))
+        layers.append(layers[-1] @ self.weights[-1] + self.biases[-1])
+        return layers
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Network output: raw values (regression) or class probabilities."""
-        a = np.asarray(X, dtype=float)
-        last = len(self.weights) - 1
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            a = z if l == last else self._act(z)
-        return _softmax(a) if self.task == "classification" else a
+        out = self._layers(X)[-1]
+        return _softmax(out) if self.task == "classification" else out
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         # Overflow here is the divergence signal, not an error: the caller
@@ -85,41 +92,29 @@ class MlpNetwork:
             picked = out[np.arange(n), np.asarray(y, dtype=int)]
             return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
+    def grads(self, X: np.ndarray, y: np.ndarray):
+        """Gradients of the mean batch loss: ``(grads_w, grads_b)``."""
+        inputs = self._layers(X)
+        out = inputs.pop()
+        n = len(out)
+        if self.task == "regression":
+            delta = (out - np.asarray(y, dtype=float).reshape(out.shape)) / n
+        else:
+            delta = _softmax(out)
+            delta[np.arange(n), np.asarray(y, dtype=int)] -= 1.0
+            delta /= n
+        grads_w: list[np.ndarray] = []
+        grads_b: list[np.ndarray] = []
+        for l in range(len(self.weights) - 1, -1, -1):
+            grads_w.append(inputs[l].T @ delta)
+            grads_b.append(delta.sum(axis=0))
+            if l > 0:
+                delta = (delta @ self.weights[l].T) * self._act_grad(inputs[l])
+        return grads_w[::-1], grads_b[::-1]
+
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Mean loss over the batch plus gradients for every parameter."""
-        X = np.asarray(X, dtype=float)
-        n = len(X)
-        zs: list[np.ndarray] = []
-        activations = [X]
-        a = X
-        last = len(self.weights) - 1
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
-            zs.append(z)
-            a = z if l == last else self._act(z)
-            activations.append(a)
-
-        if self.task == "regression":
-            t = np.asarray(y, dtype=float).reshape(a.shape)
-            loss = float(0.5 * np.mean(np.sum((a - t) ** 2, axis=1)))
-            delta = (a - t) / n
-        else:
-            probs = _softmax(a)
-            yi = np.asarray(y, dtype=int)
-            picked = probs[np.arange(n), yi]
-            loss = float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
-            delta = probs.copy()
-            delta[np.arange(n), yi] -= 1.0
-            delta /= n
-
-        grads_w = [np.zeros_like(W) for W in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
-        for l in range(len(self.weights) - 1, -1, -1):
-            grads_w[l] = activations[l].T @ delta
-            grads_b[l] = delta.sum(axis=0)
-            if l > 0:
-                delta = (delta @ self.weights[l].T) * self._act_grad(zs[l - 1], activations[l])
-        return loss, grads_w, grads_b
+        return (self.loss(X, y), *self.grads(X, y))
 
     def get_params(self) -> np.ndarray:
         return np.concatenate([w.ravel() for w in self.weights] + [b.ravel() for b in self.biases])
@@ -143,19 +138,18 @@ class MlpModel:
     """Fitted wrapper: owns the network plus the target scaling."""
 
     net: MlpNetwork
-    task: str
     y_min: float = 0.0
     y_span: float = 1.0
     epoch_losses: tuple[float, ...] = ()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = self.net.forward(np.asarray(X, dtype=float))
-        if self.task == "regression":
+        if self.net.task == "regression":
             return out[:, 0] * self.y_span + self.y_min
         raise ValidationError("use predict_confidence for classification")
 
     def predict_confidence(self, X: np.ndarray) -> np.ndarray:
-        if self.task != "classification":
+        if self.net.task != "classification":
             raise ValidationError("confidence output requires a classification model")
         return self.net.forward(np.asarray(X, dtype=float))
 
@@ -207,7 +201,7 @@ def fit_mlp(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            _, grads_w, grads_b = net.loss_and_grads(X[batch], targets[batch])
+            grads_w, grads_b = net.grads(X[batch], targets[batch])
             for W, g in zip(net.weights, grads_w):
                 W -= rate * g
             for b, g in zip(net.biases, grads_b):
@@ -218,6 +212,4 @@ def fit_mlp(
                 f"training loss became non-finite at epoch {epoch}", epoch=epoch
             )
         epoch_losses.append(epoch_loss)
-    return MlpModel(
-        net=net, task=task, y_min=y_min, y_span=y_span, epoch_losses=tuple(epoch_losses)
-    )
+    return MlpModel(net=net, y_min=y_min, y_span=y_span, epoch_losses=tuple(epoch_losses))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from locbench.cli import run_cli
+from locbench.cli import CliUsageError, _parse_seeds, run_cli
 from locbench.data import parse_beacon_csv, parse_imu_csv, parse_rssi_csv
 
 
@@ -207,6 +207,22 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert report["seeds"] == [3, 9]
 
+    @pytest.mark.parametrize(
+        "text, count",
+        [("1..1000", 1000), ("-5..994", 1000), (",".join(map(str, range(1000))), 1000)],
+    )
+    def test_seed_limit_admits_a_thousand(self, text, count):
+        assert len(_parse_seeds(text)) == count
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1..1001", ",".join(map(str, range(1001))), "0..100000000000000000000"],
+        ids=["range", "list", "past-ssize"],
+    )
+    def test_seed_limit_rejects_a_thousand_and_one(self, text):
+        with pytest.raises(CliUsageError, match="at most 1000"):
+            _parse_seeds(text)
+
 
 class TestMetrics:
     def test_hand_checked_values(self, tmp_path, capsys):
@@ -241,6 +257,16 @@ class TestMetrics:
             ["metrics", "--errors-x", str(ex), "--errors-y", str(ey), "--out-dir", str(tmp_path)]
         ) == 1
 
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path, capsys):
+        ex = tmp_path / "ex.csv"
+        ey = tmp_path / "ey.csv"
+        ex.write_bytes(b"\xef\xbb\xbf3.0\n4.0\n")
+        ey.write_text("0\n0\n")
+        code = run(
+            ["metrics", "--errors-x", str(ex), "--errors-y", str(ey), "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert "rmse_x: 3.5355" in capsys.readouterr().out
 
     def test_non_utf8_error_file_exits_one(self, tmp_path, capsys):
         ex = tmp_path / "ex.csv"
@@ -333,6 +359,7 @@ class TestBadArguments:
             ["compare", "--families", "knn,knn"],
             ["compare", "--families", ","],
             ["compare", "--seeds", "3,3", "--families", "linear_regression"],
+            ["compare", "--seeds", "0..1000000000000000"],
         ],
     )
     def test_unparsable_values_exit_one(self, argv, beacon_csv, tmp_path, capsys):

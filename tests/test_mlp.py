@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_mlp import reference_fit
 
 from locbench.learners import TrainingDivergedError, fit_mlp
 from locbench.learners.mlp import MlpNetwork
@@ -128,3 +129,46 @@ class TestTraining:
         a = fit_mlp(X, y, epochs=50, seed=14).predict(X)
         b = fit_mlp(X, y, epochs=50, seed=14).predict(X)
         assert np.array_equal(a, b)
+
+
+def reference_problem(task, n=175, seed=21):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    if task == "regression":
+        return X, 40.0 + 25.0 * X[:, 0] - 10.0 * X[:, 1] * X[:, 2]
+    return X, rng.integers(0, 4, size=n)
+
+
+class TestReferenceTrainer:
+    """``fit_mlp`` against ``tests/reference_mlp.py``, byte for byte."""
+
+    @pytest.mark.parametrize("batch_size", [25, 16, 1, 178])
+    @pytest.mark.parametrize("hidden", [(10,), (50, 50), (7, 3)])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    def test_epoch_losses_and_parameters_match(self, activation, task, hidden, batch_size):
+        X, y = reference_problem(task)
+        kwargs = dict(
+            hidden=hidden, activation=activation, epochs=6, rate=0.3,
+            batch_size=batch_size, seed=17, task=task,
+            n_classes=4 if task == "classification" else None,
+        )
+        losses, weights, biases = reference_fit(X, y, **kwargs)
+        model = fit_mlp(X, y, **kwargs)
+        assert np.array(model.epoch_losses).tobytes() == np.array(losses).tobytes()
+        for got, want in zip(model.net.weights + model.net.biases, weights + biases):
+            assert got.tobytes() == want.tobytes()
+
+    def test_divergence_at_the_same_epoch(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 2)) * 5.0
+        y = rng.normal(size=30) * 1e6
+        kwargs = dict(
+            hidden=(20,), activation="relu", epochs=200, rate=0.1, batch_size=16,
+            seed=13, task="regression",
+        )
+        with pytest.raises(TrainingDivergedError) as want:
+            reference_fit(X, y, **kwargs)
+        with pytest.raises(TrainingDivergedError) as got:
+            fit_mlp(X, y, **kwargs)
+        assert got.value.epoch == want.value.epoch
