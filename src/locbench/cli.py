@@ -186,7 +186,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         if ".." in text:
             start, _, stop = text.partition("..")
             seeds = range(int(start), int(stop) + 1)
-            count = max(0, seeds.stop - seeds.start)
+            count = max(0, seeds.stop - seeds.start)  # len() overflows past sys.maxsize
         else:
             seeds = [int(v) for v in text.split(",") if v]
             count = len(seeds)
