@@ -225,23 +225,25 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
                 try:
                     threshold = float(value)
                 except ValueError:
-                    raise ParseFailure(line_no, f"non-numeric threshold {value!r}")
+                    raise ParseError(f"line {line_no}: non-numeric threshold {value!r}") from None
             else:
-                raise ParseFailure(line_no, f"unknown key {key!r}")
+                raise ParseError(f"line {line_no}: unknown key {key!r}")
             continue
 
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 6:
-            raise ParseFailure(line_no, f"expected 6 comma-separated fields, got {len(parts)}")
+            raise ParseError(
+                f"line {line_no}: expected 6 comma-separated fields, got {len(parts)}"
+            )
         idx_text, at_name, at_weight, ct_name, ct_weight, flags = parts
         try:
             idx = int(idx_text)
             at_w = float(at_weight)
             ct_w = float(ct_weight)
         except ValueError:
-            raise ParseFailure(line_no, f"non-numeric index or weight in {line!r}") from None
+            raise ParseError(f"line {line_no}: non-numeric index or weight in {line!r}") from None
         if idx != len(atomic) + 1:
-            raise ParseFailure(line_no, f"element index {idx} out of sequence")
+            raise ParseError(f"line {line_no}: element index {idx} out of sequence")
         atomic.append(WeightedElement(name=at_name, weight=at_w))
         context.append(WeightedElement(name=ct_name, weight=ct_w))
         for flag in (f.strip().lower() for f in flags.split("|")):
@@ -254,15 +256,15 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
             elif flag == "end":
                 ends.add(idx)
             else:
-                raise ParseFailure(line_no, f"unknown flag {flag!r}")
+                raise ParseError(f"line {line_no}: unknown flag {flag!r}")
 
     first_line = block[0][0]
     if name is None:
-        raise ParseFailure(first_line, "block is missing a 'model:' line")
+        raise ParseError(f"line {first_line}: block is missing a 'model:' line")
     if threshold is None:
-        raise ParseFailure(first_line, f"model {name!r} is missing a 'threshold:' line")
+        raise ParseError(f"line {first_line}: model {name!r} is missing a 'threshold:' line")
     if not atomic:
-        raise ParseFailure(first_line, f"model {name!r} has no element lines")
+        raise ParseError(f"line {first_line}: model {name!r} has no element lines")
 
     return ComplexActivityModel(
         name=name,
@@ -275,14 +277,8 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
     )
 
 
-class ParseFailure(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def load_activity_models(path) -> list[ComplexActivityModel]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError:
@@ -298,4 +294,4 @@ def bundled_models_path():
 
 
 def load_bundled_models() -> list[ComplexActivityModel]:
-    return parse_activity_models(bundled_models_path().read_text(encoding="utf-8"))
+    return load_activity_models(bundled_models_path())

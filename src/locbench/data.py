@@ -70,7 +70,8 @@ class TextColumn:
     """A text column: the ``Dataset`` attribute it fills and how a cell maps.
 
     ``read`` turns one cell into the stored value and may raise
-    ``ParseError``; ``write`` turns a stored value back into a cell.
+    ``ParseError``; a ``read`` of ``str`` keeps cells verbatim.  ``write``
+    turns a stored value back into a cell.
     """
 
     name: str
@@ -285,12 +286,14 @@ def _parse_columns(schema: Schema, columns: Mapping[str, int], records: list[lis
         return None
     fields = {"values": values, "ingest_notes": ()}
     for col in text:
-        cells = list(map(itemgetter(columns[col.name]), records))
-        try:
-            lookup = {cell: col.read(cell) for cell in set(cells)}
-        except ParseError:
-            return None
-        fields[col.attr] = tuple(map(lookup.__getitem__, cells))
+        cells = tuple(map(itemgetter(columns[col.name]), records))
+        if col.read is not str:  # a verbatim column needs no lookup
+            try:
+                lookup = {cell: col.read(cell) for cell in set(cells)}
+            except ParseError:
+                return None
+            cells = tuple(map(lookup.__getitem__, cells))
+        fields[col.attr] = cells
     zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
     if schema.zero_note is not None and zero_rows:
         fields["ingest_notes"] = (schema.zero_note.format(zero_rows),)
@@ -362,7 +365,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     if missing:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
     text = schema.text + tuple(col for col in schema.optional if col.name in columns)
-    parsed = _parse_columns(schema, columns, [record for record in lines if record], text)
+    parsed = _parse_columns(schema, columns, list(filter(None, lines)), text)
     if parsed is None:
         _raise_first_fault(path, schema, columns, text)
     return Dataset(schema_tag, source=str(path), **parsed)

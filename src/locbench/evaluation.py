@@ -125,6 +125,10 @@ def horizontal_error(rmse_x: float, rmse_y: float) -> float:
     return math.hypot(rmse_x, rmse_y)
 
 
+#: The regression metrics, in table order: fields of ``RegressionReport``.
+REGRESSION_METRICS = ("rmse_x", "rmse_y", "horizontal_error")
+
+
 @dataclass(frozen=True)
 class RegressionReport:
     """Per-axis RMSE, their horizontal combination, and the raw errors.

@@ -29,6 +29,7 @@ from .data import (
     split_indices,
 )
 from .evaluation import (
+    REGRESSION_METRICS,
     ClassificationReport,
     Ranking,
     RegressionReport,
@@ -267,9 +268,18 @@ class CoordsRunResult:
     config: PipelineConfig
 
 
-def _fit_coord_models(spec: LearnerSpec, X_train, targets_train):
-    """Two independently trained single-output models, one per axis."""
-    return tuple(fit_regressor(spec, X_train, t) for t in targets_train)
+def _fit_predict_coords(spec: LearnerSpec, X: np.ndarray, targets, train_idx, test_idx):
+    """Standardize on the training rows, fit one model per axis, predict the test rows.
+
+    ``targets`` are the position columns, x then y.  Returns the two
+    models, their test-row predictions and the regression report.
+    """
+    stats, X_train = standardize(X[train_idx])
+    X_test = stats.transform(X[test_idx])
+    models = [fit_regressor(spec, X_train, t[train_idx]) for t in targets]
+    predicted = [model.predict(X_test) for model in models]
+    report = regression_report(*(p - t[test_idx] for p, t in zip(predicted, targets)))
+    return models, predicted, report
 
 
 def run_coords(dataset: Dataset, config: PipelineConfig | None = None) -> CoordsRunResult:
@@ -277,41 +287,21 @@ def run_coords(dataset: Dataset, config: PipelineConfig | None = None) -> Coords
     config = config or default_coords_config()
     features, pos_x, pos_y, times = build_beacon_features(dataset)
     train_idx, test_idx = _split(features.n_rows, config.split)
-    return _run_coords_on_split(features, pos_x, pos_y, times, train_idx, test_idx, config)
-
-
-def _run_coords_on_split(
-    features: FeatureMatrix,
-    pos_x: np.ndarray,
-    pos_y: np.ndarray,
-    times: tuple[str, ...],
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    config: PipelineConfig,
-) -> CoordsRunResult:
-    stats, X_train = standardize(features.values[train_idx])
-    X_test = stats.transform(features.values[test_idx])
-    model_x, model_y = _fit_coord_models(
-        config.learner, X_train, (pos_x[train_idx], pos_y[train_idx])
+    models, predicted, report = _fit_predict_coords(
+        config.learner, features.values, (pos_x, pos_y), train_idx, test_idx
     )
-    pred_x = model_x.predict(X_test)
-    pred_y = model_y.predict(X_test)
-    report = regression_report(pred_x - pos_x[test_idx], pred_y - pos_y[test_idx])
-
-    importance_x = importance_y = None
+    importance = (None, None)
     if config.learner.family == "random_forest":
-        importance_x = feature_importance(model_x, feature_names=features.columns)
-        importance_y = feature_importance(model_y, feature_names=features.columns)
-
+        importance = [feature_importance(m, feature_names=features.columns) for m in models]
     return CoordsRunResult(
         report=report,
         test_idx=test_idx,
         actual=np.column_stack([pos_x[test_idx], pos_y[test_idx]]),
-        predicted=np.column_stack([pred_x, pred_y]),
+        predicted=np.column_stack(predicted),
         distances=features.values[test_idx],
-        times=tuple(times[i] for i in test_idx),
-        importance_x=importance_x,
-        importance_y=importance_y,
+        times=tuple(map(times.__getitem__, test_idx.tolist())),
+        importance_x=importance[0],
+        importance_y=importance[1],
         config=config,
     )
 
@@ -327,23 +317,16 @@ def default_comparison_specs(seed: int = 42) -> tuple[LearnerSpec, ...]:
 
 
 @dataclass(frozen=True)
-class ComparisonCell:
-    """Median metrics for one family, or the failure reason."""
-
-    family: str
-    rmse_x: float | None
-    rmse_y: float | None
-    horizontal_error: float | None
-    failed: str | None = None
-
-    @property
-    def label(self) -> str:
-        return FAMILY_LABELS[self.family]
-
-
-@dataclass(frozen=True)
 class ComparisonResult:
-    cells: tuple[ComparisonCell, ...]
+    """Per-seed reports and their aggregate, each keyed by family in spec order.
+
+    ``aggregate`` holds a family's per-metric medians over the seeds that
+    ran, with ``n`` the number of those seeds, or, if none ran, its
+    sorted failure reasons joined by "; ".  ``ranking`` orders the
+    aggregated families by display label.
+    """
+
+    aggregate: Mapping[str, RegressionReport | str]
     per_seed: Mapping[str, Mapping[int, RegressionReport | str]]
     seeds: tuple[int, ...]
     ranking: Ranking | None
@@ -371,7 +354,7 @@ def compare_models(
         repeated = sorted(v for v, count in Counter(values).items() if count > 1)
         if repeated:
             raise ValidationError(f"{what} repeat: {', '.join(map(str, repeated))}")
-    features, pos_x, pos_y, times = build_beacon_features(dataset)
+    features, pos_x, pos_y, _ = build_beacon_features(dataset)
 
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}
     for seed in seeds:
@@ -379,49 +362,30 @@ def compare_models(
         train_idx, test_idx = _split(features.n_rows, split)
         for spec in specs:
             run_spec = LearnerSpec(family=spec.family, seed=seed, params=spec.params)
-            config = PipelineConfig(learner=run_spec, split=split)
             try:
-                result = _run_coords_on_split(
-                    features, pos_x, pos_y, times, train_idx, test_idx, config
-                )
-                per_seed[spec.family][seed] = result.report
+                report = _fit_predict_coords(
+                    run_spec, features.values, (pos_x, pos_y), train_idx, test_idx
+                )[2]
             except (ValidationError, TrainingDivergedError, FloatingPointError) as exc:
-                per_seed[spec.family][seed] = f"failed: {exc}"
+                report = f"failed: {exc}"
+            per_seed[spec.family][seed] = report
 
-    cells = []
-    medians: dict[str, RegressionReport] = {}
-    for spec in specs:
-        reports = [r for r in per_seed[spec.family].values() if isinstance(r, RegressionReport)]
+    aggregate: dict[str, RegressionReport | str] = {}
+    for family, runs in per_seed.items():
+        reports = [r for r in runs.values() if isinstance(r, RegressionReport)]
         if not reports:
-            reasons = {str(r) for r in per_seed[spec.family].values()}
-            cells.append(
-                ComparisonCell(
-                    family=spec.family,
-                    rmse_x=None,
-                    rmse_y=None,
-                    horizontal_error=None,
-                    failed="; ".join(sorted(reasons)),
-                )
-            )
+            aggregate[family] = "; ".join(sorted(set(runs.values())))
             continue
-        cell = ComparisonCell(
-            family=spec.family,
-            rmse_x=float(np.median([r.rmse_x for r in reports])),
-            rmse_y=float(np.median([r.rmse_y for r in reports])),
-            horizontal_error=float(np.median([r.horizontal_error for r in reports])),
-        )
-        cells.append(cell)
-        medians[FAMILY_LABELS[spec.family]] = RegressionReport(
-            rmse_x=cell.rmse_x,
-            rmse_y=cell.rmse_y,
-            horizontal_error=cell.horizontal_error,
-            n=len(reports),
-        )
+        medians = {
+            metric: float(np.median([getattr(r, metric) for r in reports]))
+            for metric in REGRESSION_METRICS
+        }
+        aggregate[family] = RegressionReport(**medians, n=len(reports))
 
-    ranking = rank_models(medians) if medians else None
+    ranked = {FAMILY_LABELS[f]: r for f, r in aggregate.items() if not isinstance(r, str)}
     return ComparisonResult(
-        cells=tuple(cells),
+        aggregate=aggregate,
         per_seed=per_seed,
         seeds=tuple(int(s) for s in seeds),
-        ranking=ranking,
+        ranking=rank_models(ranked) if ranked else None,
     )

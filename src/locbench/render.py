@@ -13,11 +13,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import tempfile
 
 from .data import ZONES
-from .evaluation import ClassificationReport
-from .pipelines import ComparisonResult, CoordsRunResult, ZoneRunResult
+from .evaluation import REGRESSION_METRICS, ClassificationReport, RegressionReport
+from .pipelines import FAMILY_LABELS, ComparisonResult, CoordsRunResult, ZoneRunResult
 
 
 def write_atomic(path, text: str) -> None:
@@ -41,10 +42,6 @@ def to_json(payload) -> str:
 
 def pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.2f}%"
-
-
-def cm_value(value: float | None) -> str:
-    return "failed" if value is None else f"{value:.2f} cm"
 
 
 # --------------------------------------------------------------------------
@@ -84,9 +81,17 @@ def zone_report_payload(result: ZoneRunResult) -> dict:
     }
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _csv_text(header: list[str], columns: list) -> str:
     """The header line, then one comma-joined line per row of ``columns``."""
-    return "".join(",".join(cells) + "\n" for cells in [header, *zip(*columns)])
+    return "\n".join(map(",".join, [header, *zip(*columns)])) + "\n"
+
+
+def _csv_field(cell: str) -> str:
+    """``cell`` as an RFC 4180 field: quoted, quotes doubled, if it holds , " CR or LF."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
 def zone_predictions_csv(result: ZoneRunResult) -> str:
@@ -106,13 +111,16 @@ def zone_predictions_csv(result: ZoneRunResult) -> str:
 # --------------------------------------------------------------------------
 
 
+def _metrics_payload(report: RegressionReport) -> dict:
+    """The three regression metrics of a report, keyed by name plus unit."""
+    return {f"{metric}_cm": getattr(report, metric) for metric in REGRESSION_METRICS}
+
+
 def coords_report_payload(result: CoordsRunResult) -> dict:
     payload = {
         "pipeline": "coords",
         "config": _config_payload(result.config),
-        "rmse_x_cm": result.report.rmse_x,
-        "rmse_y_cm": result.report.rmse_y,
-        "horizontal_error_cm": result.report.horizontal_error,
+        **_metrics_payload(result.report),
         "n": result.report.n,
         "errors_x_cm": result.report.errors_x,
         "errors_y_cm": result.report.errors_y,
@@ -145,7 +153,7 @@ def coord_predictions_csv(result: CoordsRunResult, axis: str) -> str:
         map(repr, result.actual[:, column].tolist()),
         map(repr, result.predicted[:, column].tolist()),
         *(map(repr, distances) for distances in result.distances.T.tolist()),
-        result.times,
+        map(_csv_field, result.times),
     ]
     return _csv_text(header, columns)
 
@@ -157,15 +165,21 @@ def coord_predictions_csv(result: CoordsRunResult, axis: str) -> str:
 _COMPARISON_HEADERS = ("RMSE in X-Direction", "RMSE in Y-Direction", "Horizontal Error")
 
 
+def _comparison_rows(result: ComparisonResult, number):
+    """(label, three metric cells) per family; ``number`` formats one metric."""
+    for family, report in result.aggregate.items():
+        if isinstance(report, str):
+            values = ["failed"] * 3
+        else:
+            values = [number(getattr(report, metric)) for metric in REGRESSION_METRICS]
+        yield FAMILY_LABELS[family], values
+
+
 def comparison_csv(result: ComparisonResult) -> str:
     out = io.StringIO()
     out.write("Learning Approach," + ",".join(_COMPARISON_HEADERS) + "\n")
-    for cell in result.cells:
-        if cell.failed is not None:
-            values = ["failed"] * 3
-        else:
-            values = [f"{cell.rmse_x:.2f}", f"{cell.rmse_y:.2f}", f"{cell.horizontal_error:.2f}"]
-        out.write(",".join([cell.label] + values) + "\n")
+    for label, values in _comparison_rows(result, "{:.2f}".format):
+        out.write(",".join([label] + values) + "\n")
     return out.getvalue()
 
 
@@ -174,9 +188,8 @@ def comparison_markdown(result: ComparisonResult) -> str:
     header = ["Learning Approach", *_COMPARISON_HEADERS]
     out.write("| " + " | ".join(header) + " |\n")
     out.write("|" + " --- |" * len(header) + "\n")
-    for cell in result.cells:
-        values = [cm_value(cell.rmse_x), cm_value(cell.rmse_y), cm_value(cell.horizontal_error)]
-        out.write("| " + " | ".join([cell.label] + values) + " |\n")
+    for label, values in _comparison_rows(result, "{:.2f} cm".format):
+        out.write("| " + " | ".join([label] + values) + " |\n")
     if result.ranking is not None:
         out.write("\nascending by horizontal error: ")
         out.write(" < ".join(result.ranking.by_horizontal) + "\n")
@@ -184,37 +197,26 @@ def comparison_markdown(result: ComparisonResult) -> str:
 
 
 def comparison_report_payload(result: ComparisonResult) -> dict:
-    per_seed = {}
-    for family, runs in result.per_seed.items():
-        per_seed[family] = {
-            str(seed): (
-                report
-                if isinstance(report, str)
-                else {
-                    "rmse_x_cm": report.rmse_x,
-                    "rmse_y_cm": report.rmse_y,
-                    "horizontal_error_cm": report.horizontal_error,
-                    "n": report.n,
-                }
-            )
-            for seed, report in runs.items()
-        }
     payload = {
         "pipeline": "compare",
         "seeds": list(result.seeds),
         "aggregate": {
-            cell.label: (
-                {"failed": cell.failed}
-                if cell.failed is not None
-                else {
-                    "rmse_x_cm": cell.rmse_x,
-                    "rmse_y_cm": cell.rmse_y,
-                    "horizontal_error_cm": cell.horizontal_error,
-                }
+            FAMILY_LABELS[family]: (
+                {"failed": report} if isinstance(report, str) else _metrics_payload(report)
             )
-            for cell in result.cells
+            for family, report in result.aggregate.items()
         },
-        "per_seed": per_seed,
+        "per_seed": {
+            family: {
+                str(seed): (
+                    report
+                    if isinstance(report, str)
+                    else {**_metrics_payload(report), "n": report.n}
+                )
+                for seed, report in runs.items()
+            }
+            for family, runs in result.per_seed.items()
+        },
     }
     if result.ranking is not None:
         payload["ranking"] = {

@@ -13,7 +13,7 @@ from locbench.activity import (
     parse_activity_models,
     validate_activity_model,
 )
-from locbench.data import ValidationError
+from locbench.data import ParseError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -173,17 +173,17 @@ class TestZoneMap:
 class TestModelFileParsing:
     def test_unknown_flag_rejected(self):
         text = "model: m\nthreshold: 0.5\n1, a, 0.5, c, 0.5, core|loop\n"
-        with pytest.raises(ValueError, match="unknown flag"):
+        with pytest.raises(ParseError, match="^line 3: unknown flag"):
             parse_activity_models(text)
 
     def test_missing_threshold_rejected(self):
         text = "model: m\n1, a, 1.0, c, 1.0, core\n"
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(ParseError, match="^line 1: .*threshold"):
             parse_activity_models(text)
 
     def test_out_of_sequence_index_rejected(self):
         text = "model: m\nthreshold: 0.5\n2, a, 1.0, c, 1.0, core\n"
-        with pytest.raises(ValueError, match="out of sequence"):
+        with pytest.raises(ParseError, match="^line 3: .*out of sequence"):
             parse_activity_models(text)
 
     def test_empty_text_parses_to_no_models(self):

@@ -1,9 +1,20 @@
+import csv
 import json
 
 import pytest
 
+from locbench.activity import bundled_models_path
 from locbench.cli import CliUsageError, _parse_seeds, run_cli
-from locbench.data import parse_beacon_csv, parse_imu_csv, parse_rssi_csv
+from locbench.data import (
+    Dataset,
+    SplitConfig,
+    parse_beacon_csv,
+    parse_imu_csv,
+    parse_rssi_csv,
+    split_indices,
+    synthetic_walk_dataset,
+    write_csv,
+)
 
 
 def run(args):
@@ -100,6 +111,22 @@ class TestCoords:
             outs.append(out)
         for name in ("report.json", "predictions_x.csv", "predictions_y.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_time_cells_round_trip_through_a_csv_reader(self, tmp_path):
+        walk = synthetic_walk_dataset(rows=20, seed=4)
+        times = [f'day {i}, "t{i}"' + ("\r\nnext" if i % 3 else "\r") for i in range(20)]
+        data = tmp_path / "quoted.csv"
+        write_csv(Dataset("beacon", walk.values, times=times), data)
+        assert list(parse_beacon_csv(data).times) == times
+        out = tmp_path / "quoted"
+        args = ["--model", "linear_regression", "--seed", "3", "--out-dir", str(out)]
+        assert run(["coords", "--data", str(data), *args]) == 0
+        _, test_idx = split_indices(20, SplitConfig(train_ratio=0.7, seed=3))
+        for name in ("predictions_x.csv", "predictions_y.csv"):
+            with open(out / name, newline="", encoding="utf-8") as handle:
+                records = list(csv.reader(handle))
+            assert {len(record) for record in records} == {7}
+            assert [record[6] for record in records[1:]] == [times[i] for i in test_idx]
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = run(["coords", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -303,6 +330,21 @@ class TestValidateActivities:
         code = run(["validate-activities", "--file", str(path)])
         assert code == 1
         assert "no models found" in capsys.readouterr().err
+
+    def test_bad_threshold_is_an_error_line_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("model: broken\nthreshold: abc\n1, a, 1.0, c, 1.0, core|start|end\n")
+        code = run(["validate-activities", "--file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 2: non-numeric threshold 'abc'")
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled_models_path().read_bytes())
+        assert run(["validate-activities", "--file", str(path)]) == 0
+        assert capsys.readouterr().out.count("pass") >= 2
 
     def test_non_utf8_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"

@@ -11,8 +11,10 @@ from locbench.data import (
     synthetic_rssi_dataset,
     synthetic_walk_dataset,
 )
+from locbench.evaluation import RegressionReport
 from locbench.learners import LearnerSpec
 from locbench.pipelines import (
+    FAMILY_LABELS,
     PipelineConfig,
     build_imu_features,
     compare_models,
@@ -224,10 +226,13 @@ class TestCompareModels:
             walk,
             PipelineConfig(learner=spec, split=SplitConfig(train_ratio=0.7, seed=3)),
         )
-        cell = comparison.cells[0]
-        assert cell.rmse_x == pytest.approx(direct.report.rmse_x)
-        assert cell.rmse_y == pytest.approx(direct.report.rmse_y)
-        assert cell.horizontal_error == pytest.approx(direct.report.horizontal_error)
+        assert comparison.per_seed["linear_regression"][3] == direct.report
+        assert comparison.aggregate["linear_regression"] == RegressionReport(
+            rmse_x=direct.report.rmse_x,
+            rmse_y=direct.report.rmse_y,
+            horizontal_error=direct.report.horizontal_error,
+            n=1,
+        )
 
     def test_all_families_share_each_seed_split(self, walk, fast_specs):
         result = compare_models(walk, specs=fast_specs, seeds=(1, 2))
@@ -250,10 +255,37 @@ class TestCompareModels:
             LearnerSpec(family="linear_regression"),
         )
         result = compare_models(walk, specs=specs, seeds=(1,))
-        by_family = {c.family: c for c in result.cells}
-        assert by_family["knn"].failed is not None
-        assert by_family["linear_regression"].failed is None
+        assert list(result.aggregate) == ["knn", "linear_regression"]
+        assert result.aggregate["knn"].startswith("failed: ")
+        assert isinstance(result.aggregate["linear_regression"], RegressionReport)
+        assert result.ranking.by_horizontal == ("Linear Regression",)
         assert "failed" in comparison_csv(result)
+
+    def test_aggregate_is_the_median_over_the_seeds_that_ran(self, walk, fast_specs):
+        result = compare_models(walk, specs=fast_specs, seeds=(1, 2, 3))
+        for family, runs in result.per_seed.items():
+            median = result.aggregate[family]
+            assert median.n == 3
+            for metric in ("rmse_x", "rmse_y", "horizontal_error"):
+                assert getattr(median, metric) == float(
+                    np.median([getattr(report, metric) for report in runs.values()])
+                )
+
+    def test_failure_reasons_are_sorted_and_joined(self, walk):
+        specs = (LearnerSpec(family="knn", params={"k": 5000}),)
+        result = compare_models(walk, specs=specs, seeds=(1, 2))
+        reasons = set(result.per_seed["knn"].values())
+        assert result.aggregate["knn"] == "; ".join(sorted(reasons))
+        assert result.ranking is None
+
+    def test_compare_computes_no_feature_importance(self, walk, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare_models computed feature importance")
+
+        monkeypatch.setattr("locbench.pipelines.feature_importance", refuse)
+        spec = LearnerSpec(family="random_forest", params={"trees": 5})
+        result = compare_models(walk, specs=(spec,), seeds=(1,))
+        assert isinstance(result.aggregate["random_forest"], RegressionReport)
 
     def test_csv_layout_eight_rows_three_metric_columns(self, walk):
         specs = default_comparison_specs()
@@ -280,8 +312,8 @@ class TestCompareModels:
 
     def test_ranking_is_permutation(self, walk, fast_specs):
         result = compare_models(walk, specs=fast_specs, seeds=(4,))
-        labels = {c.label for c in result.cells}
-        assert set(result.ranking.by_horizontal) == labels
+        labels = {FAMILY_LABELS[family] for family in result.aggregate}
+        assert sorted(result.ranking.by_horizontal) == sorted(labels)
 
     def test_no_seeds_rejected(self, walk):
         with pytest.raises(ValidationError):
