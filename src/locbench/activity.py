@@ -71,6 +71,15 @@ class ZoneMap:
     entries: tuple[tuple[str, str], ...]
 
 
+def _weight_sum(elements: Sequence[WeightedElement]) -> float:
+    """The exact sum of the weights, or NaN (which fails every check) if it is not finite."""
+    try:
+        total = math.fsum(e.weight for e in elements)
+    except (ValueError, OverflowError):  # inf + -inf, or an intermediate overflow
+        return math.nan
+    return total if math.isfinite(total) else math.nan
+
+
 def validate_activity_model(model: ComplexActivityModel) -> ValidationResult:
     """Check every structural invariant, collecting all violations."""
     failures: list[str] = []
@@ -86,7 +95,7 @@ def validate_activity_model(model: ComplexActivityModel) -> ValidationResult:
         for pos, element in enumerate(elements, start=1):
             if not (math.isfinite(element.weight) and 0.0 < element.weight <= 1.0):
                 failures.append(f"{kind} element {pos} weight {element.weight} outside (0, 1]")
-        total = math.fsum(e.weight for e in elements)
+        total = _weight_sum(elements)
         if elements and abs(total - 1.0) > WEIGHT_SUM_TOL:
             failures.append(f"{kind} weight sum {total:.6f} differs from 1")
 
@@ -109,7 +118,7 @@ def validate_activity_model(model: ComplexActivityModel) -> ValidationResult:
 
     if not (0.0 < model.threshold <= 1.0):
         failures.append(f"threshold {model.threshold} outside (0, 1]")
-    total_weight = math.fsum(e.weight for e in model.atomic)
+    total_weight = _weight_sum(model.atomic)
     if model.atomic and model.threshold > total_weight + WEIGHT_SUM_TOL:
         failures.append(f"threshold {model.threshold} exceeds total weight {total_weight:.6f}")
 
@@ -188,21 +197,14 @@ def derive_zone_map(models: Sequence[ComplexActivityModel], zone_names: Sequence
 
 def parse_activity_models(text: str) -> list[ComplexActivityModel]:
     """Parse the plain-text model format; raises on malformed blocks."""
-    models = []
     blocks: list[list[tuple[int, str]]] = [[]]
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        blocks[-1].append((line_no, line))
-    for block in blocks:
-        if block:
-            models.append(_parse_block(block))
-    return models
+        if line and not line.startswith("#"):
+            blocks[-1].append((line_no, line))
+        elif not line and blocks[-1]:
+            blocks.append([])
+    return [_parse_block(block) for block in blocks if block]
 
 
 def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
@@ -210,15 +212,12 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
     threshold = None
     atomic: list[WeightedElement] = []
     context: list[WeightedElement] = []
-    cores: set[int] = set()
-    starts: set[int] = set()
-    ends: set[int] = set()
+    flagged: dict[str, set[int]] = {"core": set(), "start": set(), "end": set()}
 
     for line_no, line in block:
         if ":" in line and "," not in line.split(":", 1)[0]:
             key, _, value = line.partition(":")
-            key = key.strip().lower()
-            value = value.strip()
+            key, value = key.strip().lower(), value.strip()
             if key == "model":
                 name = value
             elif key == "threshold":
@@ -247,15 +246,9 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
         atomic.append(WeightedElement(name=at_name, weight=at_w))
         context.append(WeightedElement(name=ct_name, weight=ct_w))
         for flag in (f.strip().lower() for f in flags.split("|")):
-            if flag in ("", "-"):
-                continue
-            if flag == "core":
-                cores.add(idx)
-            elif flag == "start":
-                starts.add(idx)
-            elif flag == "end":
-                ends.add(idx)
-            else:
+            if flag in flagged:
+                flagged[flag].add(idx)
+            elif flag not in ("", "-"):
                 raise ParseError(f"line {line_no}: unknown flag {flag!r}")
 
     first_line = block[0][0]
@@ -270,9 +263,9 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
         name=name,
         atomic=tuple(atomic),
         context=tuple(context),
-        core_indices=frozenset(cores),
-        start_indices=frozenset(starts),
-        end_indices=frozenset(ends),
+        core_indices=frozenset(flagged["core"]),
+        start_indices=frozenset(flagged["start"]),
+        end_indices=frozenset(flagged["end"]),
         threshold=threshold,
     )
 

@@ -161,6 +161,15 @@ def _resolve_out_dir(args) -> str:
     return args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse a report directory that cannot be made, before any work is done."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise CliUsageError(f"report directory {path}: {existing} is not a directory")
+
+
 def _learner_spec(args) -> LearnerSpec:
     params = {
         name: getattr(args, name) for name in _LEARNER_FLAGS if getattr(args, name) is not None
@@ -276,25 +285,18 @@ def _cmd_coords(args) -> int:
     out_dir = _resolve_out_dir(args)
     payload = render.coords_report_payload(result)
     render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
-    render.write_atomic(
-        os.path.join(out_dir, "predictions_x.csv"),
-        render.coord_predictions_csv(result, "x"),
-    )
-    render.write_atomic(
-        os.path.join(out_dir, "predictions_y.csv"),
-        render.coord_predictions_csv(result, "y"),
-    )
+    for axis, table in render.coord_predictions_csv(result).items():
+        render.write_atomic(os.path.join(out_dir, f"predictions_{axis}.csv"), table)
 
     report = result.report
     print(
         f"rmse_x: {report.rmse_x:.2f} cm  rmse_y: {report.rmse_y:.2f} cm  "
         f"horizontal_error: {report.horizontal_error:.2f} cm  (n={report.n})"
     )
-    if result.importance_x is not None:
-        weights = ", ".join(f"{k}={v:.3f}" for k, v in result.importance_x.weights.items())
-        print(f"feature importance (x): {weights}")
-        weights = ", ".join(f"{k}={v:.3f}" for k, v in result.importance_y.weights.items())
-        print(f"feature importance (y): {weights}")
+    for axis, importance in (("x", result.importance_x), ("y", result.importance_y)):
+        if importance is not None:
+            weights = ", ".join(f"{k}={v:.3f}" for k, v in importance.weights.items())
+            print(f"feature importance ({axis}): {weights}")
     if args.format == "json":
         summary = {k: v for k, v in payload.items() if not k.startswith("errors_")}
         print(render.to_json(summary), end="")
@@ -395,6 +397,8 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "out_dir" in vars(args):
+            _check_out_dir(_resolve_out_dir(args))
         if args.command == "zone-rssi":
             return _cmd_zone(args, "rssi")
         if args.command == "zone-imu":
@@ -416,7 +420,7 @@ def run_cli(argv=None) -> int:
     except (SchemaError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

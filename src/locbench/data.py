@@ -19,10 +19,11 @@ matching.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -242,92 +243,71 @@ def _normalize_column(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
 
 
-def _read_rows(path) -> tuple[dict[str, int], list[list[str]]]:
-    """Read a CSV file into (normalized header -> index, the records after it).
+#: Bytes that leave a file to the row walker: a quote (a quoted cell may
+#: hold a delimiter or a line break) and the separators 0x1C-0x1F, which
+#: numpy strips around a number and ``float`` does not.
+_WALKER_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-    Blank lines stay in the list as empty records.  A quoted cell may span
-    lines, so a record's place in the list does not give its line in the
-    file; ``_raise_first_fault`` finds that line when it needs it.
+
+def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols):
+    """numpy's C reader, one pass over the lines after the header: (values, cells) or None.
+
+    None leaves the file to ``_walk_rows``: a byte of ``_WALKER_BYTES``, a
+    line longer than csv's field limit (numpy has none), a cell numpy
+    cannot read, or a value or zone that fails the whole-column checks.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            lines = list(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: file is not UTF-8 text") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
-    columns: dict[str, int] = {}
-    for idx, name in enumerate(header):
-        norm = _normalize_column(name)
-        if norm and norm not in columns:
-            columns[norm] = idx
-    return columns, lines
-
-
-def _parse_columns(schema: Schema, columns: Mapping[str, int], records: list[list[str]], text):
-    """The columnar pass: ``Dataset`` fields, or None if any check fails."""
-    n = len(records)
-    last = max(columns[name] for name in schema.numeric + tuple(col.name for col in text))
-    if min(map(len, records), default=last + 1) <= last:
+    lines = data.splitlines()  # at CR, LF and CR LF only: without quotes, one record each
+    if any(map(data.__contains__, _WALKER_BYTES)) or max(map(len, lines)) > csv.field_size_limit():
         return None
-    values = np.empty((n, len(schema.numeric)))
-    for j, name in enumerate(schema.numeric):
-        cells = map(itemgetter(columns[name]), records)
-        try:
-            values[:, j] = np.fromiter(map(float, cells), dtype=float, count=n)
-        except ValueError:
-            return None
+    usecols = [columns[name] for name in schema.numeric + tuple(col.name for col in cols)]
+    dtype = [("values", float, len(schema.numeric)), ("cells", object, len(cols))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+            table = np.loadtxt(
+                lines, dtype, comments=None, delimiter=",", skiprows=1, usecols=usecols,
+                ndmin=1, encoding="utf-8"
+            )
+    except ValueError:
+        return None
+    values, cells = table["values"], table["cells"].T.tolist()
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     if not np.isfinite(values).all() or ((ranged < schema.low) | (ranged > schema.high)).any():
         return None
-    fields = {"values": values, "ingest_notes": ()}
-    for col in text:
-        cells = tuple(map(itemgetter(columns[col.name]), records))
+    for j, col in enumerate(cols):
         if col.read is not str:  # a verbatim column needs no lookup
             try:
-                lookup = {cell: col.read(cell) for cell in set(cells)}
+                lookup = {cell: col.read(cell) for cell in set(cells[j])}
             except ParseError:
                 return None
-            cells = tuple(map(lookup.__getitem__, cells))
-        fields[col.attr] = cells
-    zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
-    if schema.zero_note is not None and zero_rows:
-        fields["ingest_notes"] = (schema.zero_note.format(zero_rows),)
-    return fields
+            cells[j] = map(lookup.__getitem__, cells[j])
+    return values, cells
 
 
-def _raise_first_fault(path, schema: Schema, columns: Mapping[str, int], text) -> None:
-    """Walk the rows in file order and raise the first fault (see ``parse_csv``).
+def _walk_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
+    """Walk ``records``, a ``csv.reader`` past the header, in file order.
 
-    The file is read again to learn the line on which each record starts,
-    so a clean parse pays nothing for line numbers.
+    The first fault raises; a file without one gives (values, cells).
+    Numeric cells are read by ``float``: the walker accepts exactly what
+    ``float`` accepts.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # the header
-        start = reader.line_num + 1
-        for record in reader:
-            line_no, start = start, reader.line_num + 1
+    rows, cells = [], [[] for _ in cols]
+    start = records.line_num + 1
+    try:
+        for record in records:
+            line_no, start = start, records.line_num + 1
             if not record:
                 continue
-            for name in schema.numeric:
-                value = _float_cell(record, columns, name, line_no)
-                if name in schema.ranged and not (schema.low <= value <= schema.high):
-                    message = schema.range_error.format(
-                        value=value, name=schema.ranged[name], low=schema.low, high=schema.high
-                    )
-                    raise ValidationError(f"row {line_no}: {message}")
-            for col in text:
+            rows.append([_float_cell(record, columns, schema, n, line_no) for n in schema.numeric])
+            for col, column in zip(cols, cells):
                 cell = _cell(record, columns, col.name, line_no)
                 try:
-                    col.read(cell)
+                    column.append(col.read(cell))
                 except ParseError as exc:
                     raise ParseError(f"row {line_no}: {exc}") from None
-    raise AssertionError("the columnar parse rejected a file with no faulty row")
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {records.line_num}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, len(schema.numeric)), cells
 
 
 def _cell(record: list[str], columns: Mapping[str, int], name: str, row: int) -> str:
@@ -337,7 +317,7 @@ def _cell(record: list[str], columns: Mapping[str, int], name: str, row: int) ->
     return record[idx]
 
 
-def _float_cell(record: list[str], columns: Mapping[str, int], name: str, row: int) -> float:
+def _float_cell(record: list[str], columns, schema: Schema, name: str, row: int) -> float:
     text = _cell(record, columns, name, row)
     try:
         value = float(text)
@@ -345,30 +325,53 @@ def _float_cell(record: list[str], columns: Mapping[str, int], name: str, row: i
         raise ParseError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
     if not math.isfinite(value):
         raise ParseError(f"row {row}: non-finite value {text!r} in column {name!r}")
+    if name in schema.ranged and not (schema.low <= value <= schema.high):
+        message = schema.range_error.format(
+            value=value, name=schema.ranged[name], low=schema.low, high=schema.high
+        )
+        raise ValidationError(f"row {row}: {message}")
     return value
 
 
 def parse_csv(path, schema_tag: str) -> Dataset:
     """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
-    Each column is parsed and checked whole.  If any check fails, the rows
-    are walked in file order and the first faulty row raises.  Within a
-    row the columns are checked in schema order (numeric columns, then
-    text columns, then the optional columns the header has); a numeric
-    cell fails as missing, non-numeric, non-finite, then out of range, a
-    text cell as missing, then as an unknown zone.  Blank lines are
-    skipped.  A row is named by the file line on which its record starts.
+    The file must be UTF-8.  numpy's C reader parses it by column, and each
+    column is checked whole; a file it cannot take or that fails a check
+    is walked row by row in file order, and the first faulty row raises.
+    Within a row the columns are checked in schema order (numeric, text,
+    then the optional columns the header has); a numeric cell fails as
+    missing, non-numeric, non-finite, then out of range, a text cell as
+    missing, then as an unknown zone.  Blank lines are skipped.  A row is
+    named by the file line on which its record starts.
     """
     schema = _schema(schema_tag)
-    columns, lines = _read_rows(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: file is not UTF-8 text") from None
+    records = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = next(records)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, expected a header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {records.line_num}: {exc}") from None
+    names = enumerate(map(_normalize_column, header))
+    columns = dict(reversed([(name, idx) for idx, name in names if name]))  # first one wins
     missing = [name for name in schema.required if name not in columns]
     if missing:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-    text = schema.text + tuple(col for col in schema.optional if col.name in columns)
-    parsed = _parse_columns(schema, columns, list(filter(None, lines)), text)
-    if parsed is None:
-        _raise_first_fault(path, schema, columns, text)
-    return Dataset(schema_tag, source=str(path), **parsed)
+    cols = schema.text + tuple(col for col in schema.optional if col.name in columns)
+    table = _read_columns(data, schema, columns, cols)
+    values, cells = table or _walk_rows(path, records, schema, columns, cols)
+    ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
+    zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
+    notes = (schema.zero_note.format(zero_rows),) if schema.zero_note and zero_rows else ()
+    texts = {col.attr: tuple(column) for col, column in zip(cols, cells)}
+    return Dataset(schema_tag, values, source=str(path), ingest_notes=notes, **texts)
 
 
 def parse_beacon_csv(path) -> Dataset:

@@ -10,7 +10,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -37,7 +36,29 @@ def write_atomic(path, text: str) -> None:
 
 
 def to_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, encoded mostly in C."""
+    return _json(payload, "") + "\n"
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as the indenting encoder writes it at indent ``pad``.
+
+    That encoder runs in Python, so a container of scalars (the error lists)
+    goes to the C encoder whole, its separator carrying newline and indent.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner, is_dict = pad + "  ", isinstance(value, dict)
+    if set(map(type, value.values() if is_dict else value)) <= {str, int, float, bool, type(None)}:
+        body = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+    elif is_dict:  # a key that is not a string is written as its JSON text
+        items = sorted(value.items())
+        key = lambda k: json.dumps(k if isinstance(k, str) else json.dumps(k))
+        body = (",\n" + inner).join(f"{key(k)}: {_json(v, inner)}" for k, v in items)
+    else:
+        body = (",\n" + inner).join(_json(item, inner) for item in value)
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 def pct(value: float | None) -> str:
@@ -49,22 +70,22 @@ def pct(value: float | None) -> str:
 # --------------------------------------------------------------------------
 
 
+def _markdown_table(header: list[str], rows) -> str:
+    """A markdown table: the header line, its rule, then one line per row."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+
+
 def confusion_markdown(report: ClassificationReport) -> str:
     """The confusion matrix table: predicted rows, true columns."""
     cm = report.matrix
-    out = io.StringIO()
-    out.write(f"accuracy: {pct(report.accuracy)}\n\n")
     header = [""] + [f"true {c}" for c in cm.classes] + ["class precision"]
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + " --- |" * len(header) + "\n")
-    for i, cls in enumerate(cm.classes):
-        row = [f"pred. {cls}"]
-        row += [str(int(v)) for v in cm.counts[i]]
-        row.append(pct(report.precision[cls]))
-        out.write("| " + " | ".join(row) + " |\n")
-    recall_row = ["class recall"] + [pct(report.recall[c]) for c in cm.classes] + [""]
-    out.write("| " + " | ".join(recall_row) + " |\n")
-    return out.getvalue()
+    rows = [
+        [f"pred. {cls}", *map(str, cm.counts[i].tolist()), pct(report.precision[cls])]
+        for i, cls in enumerate(cm.classes)
+    ]
+    rows.append(["class recall"] + [pct(report.recall[c]) for c in cm.classes] + [""])
+    return f"accuracy: {pct(report.accuracy)}\n\n" + _markdown_table(header, rows)
 
 
 def zone_report_payload(result: ZoneRunResult) -> dict:
@@ -86,7 +107,8 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 def _csv_text(header: list[str], columns: list) -> str:
     """The header line, then one comma-joined line per row of ``columns``."""
-    return "\n".join(map(",".join, [header, *zip(*columns)])) + "\n"
+    # No row tuple outlives its join, so zip reuses one: no tuples for the garbage collector.
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _csv_field(cell: str) -> str:
@@ -135,27 +157,20 @@ def coords_report_payload(result: CoordsRunResult) -> dict:
     return payload
 
 
-def coord_predictions_csv(result: CoordsRunResult, axis: str) -> str:
-    """Prediction table for one axis ("x" or "y")."""
-    name = {"x": "Position X", "y": "Position Y"}[axis]
-    column = "xy".index(axis)
-    header = [
-        "Row No.",
-        name,
-        f"prediction({name})",
-        "Distance A",
-        "Distance B",
-        "Distance C",
-        "Time",
-    ]
-    columns = [
-        map(str, range(1, len(result.times) + 1)),
-        map(repr, result.actual[:, column].tolist()),
-        map(repr, result.predicted[:, column].tolist()),
-        *(map(repr, distances) for distances in result.distances.T.tolist()),
-        map(_csv_field, result.times),
-    ]
-    return _csv_text(header, columns)
+def coord_predictions_csv(result: CoordsRunResult) -> dict[str, str]:
+    """The prediction tables of both axes, keyed "x" and "y", sharing all but two columns."""
+    times = result.times
+    if _NEEDS_QUOTES.search("".join(times)):  # quote cell by cell only a column that needs it
+        times = map(_csv_field, times)
+    heads = list(map(str, range(1, len(result.times) + 1)))
+    tails = list(map(",".join, zip(*(map(repr, d) for d in result.distances.T.tolist()), times)))
+    tables = {}
+    for j, axis in enumerate("xy"):
+        name = f"Position {axis.upper()}"
+        header = ["Row No.", name, f"prediction({name})", *(f"Distance {b}" for b in "ABC"), "Time"]
+        positions = (map(repr, a[:, j].tolist()) for a in (result.actual, result.predicted))
+        tables[axis] = _csv_text(header, [heads, *positions, tails])
+    return tables
 
 
 # --------------------------------------------------------------------------
@@ -166,34 +181,26 @@ _COMPARISON_HEADERS = ("RMSE in X-Direction", "RMSE in Y-Direction", "Horizontal
 
 
 def _comparison_rows(result: ComparisonResult, number):
-    """(label, three metric cells) per family; ``number`` formats one metric."""
+    """A row per family: its label, then three cells that ``number`` formats."""
     for family, report in result.aggregate.items():
         if isinstance(report, str):
             values = ["failed"] * 3
         else:
             values = [number(getattr(report, metric)) for metric in REGRESSION_METRICS]
-        yield FAMILY_LABELS[family], values
+        yield [FAMILY_LABELS[family], *values]
 
 
 def comparison_csv(result: ComparisonResult) -> str:
-    out = io.StringIO()
-    out.write("Learning Approach," + ",".join(_COMPARISON_HEADERS) + "\n")
-    for label, values in _comparison_rows(result, "{:.2f}".format):
-        out.write(",".join([label] + values) + "\n")
-    return out.getvalue()
+    rows = [["Learning Approach", *_COMPARISON_HEADERS], *_comparison_rows(result, "{:.2f}".format)]
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def comparison_markdown(result: ComparisonResult) -> str:
-    out = io.StringIO()
     header = ["Learning Approach", *_COMPARISON_HEADERS]
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + " --- |" * len(header) + "\n")
-    for label, values in _comparison_rows(result, "{:.2f} cm".format):
-        out.write("| " + " | ".join([label] + values) + " |\n")
+    text = _markdown_table(header, _comparison_rows(result, "{:.2f} cm".format))
     if result.ranking is not None:
-        out.write("\nascending by horizontal error: ")
-        out.write(" < ".join(result.ranking.by_horizontal) + "\n")
-    return out.getvalue()
+        text += f"\nascending by horizontal error: {' < '.join(result.ranking.by_horizontal)}\n"
+    return text
 
 
 def comparison_report_payload(result: ComparisonResult) -> dict:

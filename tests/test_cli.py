@@ -340,6 +340,28 @@ class TestValidateActivities:
         assert err.startswith("error: line 2: non-numeric threshold 'abc'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "weights", [("inf", "-inf"), ("1e308", "1e308")], ids=["inf-minus-inf", "overflow"]
+    )
+    def test_weights_without_a_finite_sum_fail_once_each(self, weights, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "model: huge\nthreshold: 0.9\n"
+            f"1, a, {weights[0]}, c, 0.5, core|start\n"
+            f"2, b, {weights[1]}, d, 0.5, end\n"
+        )
+        code = run(["validate-activities", "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        failures = lines[lines.index("FAIL  huge  (threshold 0.9, 2 elements)") + 1 :]
+        assert failures[:2] == [
+            f"      - atomic element 1 weight {float(weights[0])} outside (0, 1]",
+            f"      - atomic element 2 weight {float(weights[1])} outside (0, 1]",
+        ]
+        assert not any("sum" in line or "total weight" in line for line in failures)
+
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         path = tmp_path / "bom.txt"
         path.write_bytes(b"\xef\xbb\xbf" + bundled_models_path().read_bytes())
@@ -449,6 +471,30 @@ class TestBadArguments:
         code = run(["coords", "--data", str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_dir_that_cannot_be_a_directory_exits_one_before_the_fit(
+        self, under, beacon_csv, tmp_path, capsys, monkeypatch
+    ):
+        blocker = tmp_path / "report.txt"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under else blocker
+        fitted = []
+        monkeypatch.setattr("locbench.cli.run_coords", lambda *args: fitted.append(args))
+        capsys.readouterr()
+        code = run(["coords", "--data", str(beacon_csv), "--out-dir", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: report directory {out}: {blocker} is not a directory\n"
+        assert captured.out == "" and fitted == []
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beacons.csv", "report.txt"]
+
+    def test_data_path_under_a_file_exits_one(self, beacon_csv, tmp_path, capsys):
+        data = beacon_csv / "rows.csv"
+        code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: Not a directory: {data}\n"
 
     def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"

@@ -10,6 +10,7 @@ identical readings, so the k-NN tie rule decides its predictions.  The
 on purpose must name and justify the new values in CHANGES.md.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -219,3 +220,17 @@ def test_knn_hashes_with_one_query_per_block(case, inputs, tmp_path, capsys, mon
     # A one-element budget makes every query row its own distance block.
     monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 1)
     assert report_hashes(case, inputs, tmp_path / "out", capsys) == CASES[case][1]
+
+
+def test_quoted_time_cells_give_the_same_reports(inputs, tmp_path, capsys):
+    # A quote sends the file to the row walker instead of numpy's reader.
+    with open(inputs["beacon"], newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    time = header.index("time")
+    lines = [",".join(header)]
+    lines += [",".join(f'"{c}"' if i == time else c for i, c in enumerate(row)) for row in rows]
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert quoted.read_text(encoding="utf-8").count('"') == 2 * len(rows)
+    paths = {**inputs, "beacon": str(quoted)}
+    assert report_hashes("coords-forest", paths, tmp_path / "out", capsys) == CASES["coords-forest"][1]
