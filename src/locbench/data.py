@@ -305,8 +305,8 @@ def _walk_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) 
                     column.append(col.read(cell))
                 except ParseError as exc:
                     raise ParseError(f"row {line_no}: {exc}") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: row {records.line_num}: {exc}") from None
+    except csv.Error as exc:  # named, as every fault, by the line its record starts on
+        raise ParseError(f"{path}: row {start}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, len(schema.numeric)), cells
 
 

@@ -515,6 +515,15 @@ class TestBadArguments:
         assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_multiline_cell_is_named_by_its_first_line(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"
+        rows = "1,2,0.5,0.6,0.7,t\n" + '1,2,0.5,0.6,0.7,"a\nb\n' + "x" * 200_000 + '"\n'
+        data.write_text(header + rows)
+        assert run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
+
     def test_row_after_a_multiline_cell_is_named_by_its_line(self, tmp_path, capsys):
         data = tmp_path / "multiline.csv"
         header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"
