@@ -197,14 +197,21 @@ def derive_zone_map(models: Sequence[ComplexActivityModel], zone_names: Sequence
 
 def parse_activity_models(text: str) -> list[ComplexActivityModel]:
     """Parse the plain-text model format; raises on malformed blocks."""
+    models = []
     blocks: list[list[tuple[int, str]]] = [[]]
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            blocks[-1].append((line_no, line))
-        elif not line and blocks[-1]:
-            blocks.append([])
-    return [_parse_block(block) for block in blocks if block]
+        if line.startswith("#"):
+            continue
+        if not line:
+            if blocks[-1]:
+                blocks.append([])
+            continue
+        blocks[-1].append((line_no, line))
+    for block in blocks:
+        if block:
+            models.append(_parse_block(block))
+    return models
 
 
 def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
@@ -212,12 +219,15 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
     threshold = None
     atomic: list[WeightedElement] = []
     context: list[WeightedElement] = []
-    flagged: dict[str, set[int]] = {"core": set(), "start": set(), "end": set()}
+    cores: set[int] = set()
+    starts: set[int] = set()
+    ends: set[int] = set()
 
     for line_no, line in block:
         if ":" in line and "," not in line.split(":", 1)[0]:
             key, _, value = line.partition(":")
-            key, value = key.strip().lower(), value.strip()
+            key = key.strip().lower()
+            value = value.strip()
             if key == "model":
                 name = value
             elif key == "threshold":
@@ -246,9 +256,15 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
         atomic.append(WeightedElement(name=at_name, weight=at_w))
         context.append(WeightedElement(name=ct_name, weight=ct_w))
         for flag in (f.strip().lower() for f in flags.split("|")):
-            if flag in flagged:
-                flagged[flag].add(idx)
-            elif flag not in ("", "-"):
+            if flag in ("", "-"):
+                continue
+            if flag == "core":
+                cores.add(idx)
+            elif flag == "start":
+                starts.add(idx)
+            elif flag == "end":
+                ends.add(idx)
+            else:
                 raise ParseError(f"line {line_no}: unknown flag {flag!r}")
 
     first_line = block[0][0]
@@ -263,9 +279,9 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
         name=name,
         atomic=tuple(atomic),
         context=tuple(context),
-        core_indices=frozenset(flagged["core"]),
-        start_indices=frozenset(flagged["start"]),
-        end_indices=frozenset(flagged["end"]),
+        core_indices=frozenset(cores),
+        start_indices=frozenset(starts),
+        end_indices=frozenset(ends),
         threshold=threshold,
     )
 

@@ -293,10 +293,11 @@ def _cmd_coords(args) -> int:
         f"rmse_x: {report.rmse_x:.2f} cm  rmse_y: {report.rmse_y:.2f} cm  "
         f"horizontal_error: {report.horizontal_error:.2f} cm  (n={report.n})"
     )
-    for axis, importance in (("x", result.importance_x), ("y", result.importance_y)):
-        if importance is not None:
-            weights = ", ".join(f"{k}={v:.3f}" for k, v in importance.weights.items())
-            print(f"feature importance ({axis}): {weights}")
+    if result.importance_x is not None:
+        weights = ", ".join(f"{k}={v:.3f}" for k, v in result.importance_x.weights.items())
+        print(f"feature importance (x): {weights}")
+        weights = ", ".join(f"{k}={v:.3f}" for k, v in result.importance_y.weights.items())
+        print(f"feature importance (y): {weights}")
     if args.format == "json":
         summary = {k: v for k, v in payload.items() if not k.startswith("errors_")}
         print(render.to_json(summary), end="")

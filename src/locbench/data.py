@@ -24,6 +24,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -256,11 +257,14 @@ def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols)
     line longer than csv's field limit (numpy has none), a cell numpy
     cannot read, or a value or zone that fails the whole-column checks.
     """
+    if any(map(data.__contains__, _WALKER_BYTES)):
+        return None
     lines = data.splitlines()  # at CR, LF and CR LF only: without quotes, one record each
-    if any(map(data.__contains__, _WALKER_BYTES)) or max(map(len, lines)) > csv.field_size_limit():
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     usecols = [columns[name] for name in schema.numeric + tuple(col.name for col in cols)]
-    dtype = [("values", float, len(schema.numeric)), ("cells", object, len(cols))]
+    # Shapes as tuples: numpy before 2.0 reads a bare 1 as a scalar field.
+    dtype = [("values", float, (len(schema.numeric),)), ("cells", object, (len(cols),))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
@@ -270,7 +274,11 @@ def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols)
             )
     except ValueError:
         return None
-    values, cells = table["values"], table["cells"].T.tolist()
+    return _checked_columns(schema, cols, table["values"], table["cells"].T.tolist())
+
+
+def _checked_columns(schema: Schema, cols, values: np.ndarray, cells: list):
+    """The whole-column checks: (values, cells) with each text cell read, or None."""
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     if not np.isfinite(values).all() or ((ranged < schema.low) | (ranged > schema.high)).any():
         return None
@@ -284,13 +292,42 @@ def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols)
     return values, cells
 
 
-def _walk_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
-    """Walk ``records``, a ``csv.reader`` past the header, in file order.
+def _records(data: bytes):
+    """A ``csv.reader`` over the UTF-8 text of ``data``, decoded as it reads."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
-    The first fault raises; a file without one gives (values, cells).
-    Numeric cells are read by ``float``: the walker accepts exactly what
-    ``float`` accepts.
+
+def _walk_rows(path, data: bytes, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
+    """The row walker: read the records after the header in file order: (values, cells).
+
+    The records are read by column (a number by ``float``: the walker
+    accepts exactly what ``float`` accepts) and checked whole.  If that
+    fails, or the reader does, ``_checked_rows`` walks them one by one,
+    and the first fault in file order raises.
     """
+    records = _records(data)
+    next(records)  # the header
+    try:
+        kept = list(filter(None, records))  # no blank lines
+        values = np.empty((len(kept), len(schema.numeric)))
+        for j, name in enumerate(schema.numeric):
+            values[:, j] = np.fromiter(map(float, map(itemgetter(columns[name]), kept)), float)
+        cells = [list(map(itemgetter(columns[col.name]), kept)) for col in cols]
+    except (csv.Error, IndexError, ValueError):
+        table = None
+    else:
+        table = _checked_columns(schema, cols, values, cells)
+    return table or _checked_rows(path, data, schema, columns, cols)
+
+
+def _checked_rows(path, data: bytes, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
+    """Walk the rows after the header one by one; the first fault raises, else (values, cells).
+
+    The file is read again to learn the line on which each record starts,
+    so a clean parse pays nothing for line numbers.
+    """
+    records = _records(data)
+    next(records)  # the header
     rows, cells = [], [[] for _ in cols]
     start = records.line_num + 1
     try:
@@ -337,13 +374,15 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
     The file must be UTF-8.  numpy's C reader parses it by column, and each
-    column is checked whole; a file it cannot take or that fails a check
-    is walked row by row in file order, and the first faulty row raises.
-    Within a row the columns are checked in schema order (numeric, text,
-    then the optional columns the header has); a numeric cell fails as
-    missing, non-numeric, non-finite, then out of range, a text cell as
-    missing, then as an unknown zone.  Blank lines are skipped.  A row is
-    named by the file line on which its record starts.
+    column is checked whole; a file it cannot take goes to the row walker,
+    which reads it with ``csv.reader`` and checks it the same way.  If a
+    check fails, the rows are walked one by one in file order, and the
+    first faulty row raises, whatever kind of fault (a csv syntax fault
+    too) it holds.  Within a row the columns are checked in schema order
+    (numeric, text, then the optional columns the header has); a numeric
+    cell fails as missing, non-numeric, non-finite, then out of range, a
+    text cell as missing, then as an unknown zone.  Blank lines are
+    skipped.  A row is named by the file line on which its record starts.
     """
     schema = _schema(schema_tag)
     with open(path, "rb") as handle:
@@ -352,7 +391,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
         data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: file is not UTF-8 text") from None
-    records = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    records = _records(data)
     try:
         header = next(records)
     except StopIteration:
@@ -366,7 +405,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
     cols = schema.text + tuple(col for col in schema.optional if col.name in columns)
     table = _read_columns(data, schema, columns, cols)
-    values, cells = table or _walk_rows(path, records, schema, columns, cols)
+    values, cells = table or _walk_rows(path, data, schema, columns, cols)
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
     notes = (schema.zero_note.format(zero_rows),) if schema.zero_note and zero_rows else ()

@@ -219,7 +219,14 @@ def _run_zone(features: FeatureMatrix, labels: np.ndarray, config: PipelineConfi
     predicted, confidence = prediction_from_scores(model.predict_confidence(X_test))
     actual = labels[test_idx]
     report = classification_report(confusion_matrix(actual, predicted))
-    return ZoneRunResult(report, test_idx, actual, predicted, confidence, config)
+    return ZoneRunResult(
+        report=report,
+        test_idx=test_idx,
+        actual=actual,
+        predicted=predicted,
+        confidence=confidence,
+        config=config,
+    )
 
 
 def run_zone_rssi(dataset: Dataset, config: PipelineConfig | None = None) -> ZoneRunResult:

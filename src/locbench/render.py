@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -70,22 +71,22 @@ def pct(value: float | None) -> str:
 # --------------------------------------------------------------------------
 
 
-def _markdown_table(header: list[str], rows) -> str:
-    """A markdown table: the header line, its rule, then one line per row."""
-    lines = [header, ["---"] * len(header), *rows]
-    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
-
-
 def confusion_markdown(report: ClassificationReport) -> str:
     """The confusion matrix table: predicted rows, true columns."""
     cm = report.matrix
+    out = io.StringIO()
+    out.write(f"accuracy: {pct(report.accuracy)}\n\n")
     header = [""] + [f"true {c}" for c in cm.classes] + ["class precision"]
-    rows = [
-        [f"pred. {cls}", *map(str, cm.counts[i].tolist()), pct(report.precision[cls])]
-        for i, cls in enumerate(cm.classes)
-    ]
-    rows.append(["class recall"] + [pct(report.recall[c]) for c in cm.classes] + [""])
-    return f"accuracy: {pct(report.accuracy)}\n\n" + _markdown_table(header, rows)
+    out.write("| " + " | ".join(header) + " |\n")
+    out.write("|" + " --- |" * len(header) + "\n")
+    for i, cls in enumerate(cm.classes):
+        row = [f"pred. {cls}"]
+        row += [str(int(v)) for v in cm.counts[i]]
+        row.append(pct(report.precision[cls]))
+        out.write("| " + " | ".join(row) + " |\n")
+    recall_row = ["class recall"] + [pct(report.recall[c]) for c in cm.classes] + [""]
+    out.write("| " + " | ".join(recall_row) + " |\n")
+    return out.getvalue()
 
 
 def zone_report_payload(result: ZoneRunResult) -> dict:
@@ -181,26 +182,34 @@ _COMPARISON_HEADERS = ("RMSE in X-Direction", "RMSE in Y-Direction", "Horizontal
 
 
 def _comparison_rows(result: ComparisonResult, number):
-    """A row per family: its label, then three cells that ``number`` formats."""
+    """(label, three metric cells) per family; ``number`` formats one metric."""
     for family, report in result.aggregate.items():
         if isinstance(report, str):
             values = ["failed"] * 3
         else:
             values = [number(getattr(report, metric)) for metric in REGRESSION_METRICS]
-        yield [FAMILY_LABELS[family], *values]
+        yield FAMILY_LABELS[family], values
 
 
 def comparison_csv(result: ComparisonResult) -> str:
-    rows = [["Learning Approach", *_COMPARISON_HEADERS], *_comparison_rows(result, "{:.2f}".format)]
-    return "\n".join(map(",".join, rows)) + "\n"
+    out = io.StringIO()
+    out.write("Learning Approach," + ",".join(_COMPARISON_HEADERS) + "\n")
+    for label, values in _comparison_rows(result, "{:.2f}".format):
+        out.write(",".join([label] + values) + "\n")
+    return out.getvalue()
 
 
 def comparison_markdown(result: ComparisonResult) -> str:
+    out = io.StringIO()
     header = ["Learning Approach", *_COMPARISON_HEADERS]
-    text = _markdown_table(header, _comparison_rows(result, "{:.2f} cm".format))
+    out.write("| " + " | ".join(header) + " |\n")
+    out.write("|" + " --- |" * len(header) + "\n")
+    for label, values in _comparison_rows(result, "{:.2f} cm".format):
+        out.write("| " + " | ".join([label] + values) + " |\n")
     if result.ranking is not None:
-        text += f"\nascending by horizontal error: {' < '.join(result.ranking.by_horizontal)}\n"
-    return text
+        out.write("\nascending by horizontal error: ")
+        out.write(" < ".join(result.ranking.by_horizontal) + "\n")
+    return out.getvalue()
 
 
 def comparison_report_payload(result: ComparisonResult) -> dict:

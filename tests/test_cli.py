@@ -524,6 +524,17 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err == f"error: {data}: row 3: field larger than field limit (131072)\n"
 
+    def test_value_fault_above_an_oversized_field_is_the_one_named(self, tmp_path, capsys):
+        # Faults are named in file order, whatever their kind: the bad value
+        # on line 2 comes before the field over csv's limit on line 4.
+        data = tmp_path / "huge.csv"
+        header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"
+        rows = "1,2,oops,0.6,0.7,t\n1,2,0.5,0.6,0.7,t\n" + "1,2,0.5,0.6,0.7," + "x" * 200_000
+        data.write_text(header + rows + "\n")
+        assert run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 2: non-numeric value 'oops' in column 'distance_a'\n"
+
     def test_row_after_a_multiline_cell_is_named_by_its_line(self, tmp_path, capsys):
         data = tmp_path / "multiline.csv"
         header = "position_x,position_y,distance_a,distance_b,distance_c,time\n"

@@ -1,12 +1,14 @@
 """The parse's two paths, numpy's C reader and the row walker, against the reference.
 
-Each case is a whole file.  ``parse_csv`` parses it by the path it picks
-and again with the C reader switched off, so every case also runs
-through the row walker.  Both runs must give the reference parser's
-table, or its error text, and the first run must take the path the case
-names: the C reader for unquoted files it can read whole, the walker for
-quoted files, cells only ``float`` reads, lines longer than the csv field
-limit and files with a fault.
+Each case is a whole file.  ``parse_csv`` parses it by the path it picks,
+again with the C reader switched off, so every case also runs through
+the row walker, and again with the whole-column checks switched off, so
+every case also runs through the walker's row-by-row checks.  Every run
+must give the reference parser's table, or its error text, and the
+first run must take the path the case names: the C reader for unquoted
+files it can read whole, the walker for quoted files, cells only
+``float`` reads, lines longer than the csv field limit and files with a
+fault.
 """
 
 import csv
@@ -163,6 +165,9 @@ def test_both_paths_match_the_reference(case, tmp_path, monkeypatch):
     assert (taken[-1] if taken else None) == path_taken
 
     monkeypatch.setattr(data, "_read_columns", lambda *args: None)
+    assert_same(tag, path, parse(tag, path), expected)
+
+    monkeypatch.setattr(data, "_checked_columns", lambda *args: None)
     assert_same(tag, path, parse(tag, path), expected)
 
 
