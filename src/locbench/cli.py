@@ -164,8 +164,12 @@ def _resolve_out_dir(args) -> str:
 def _check_out_dir(path: str) -> None:
     """Refuse a report directory that cannot be made, before any work is done."""
     existing = path
-    while existing and not os.path.exists(existing):
-        existing = os.path.dirname(existing)
+    while existing:
+        try:
+            os.stat(existing)  # raises what os.path.exists hides, such as a name too long
+            break
+        except (FileNotFoundError, NotADirectoryError):
+            existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
         raise CliUsageError(f"report directory {path}: {existing} is not a directory")
 
@@ -421,7 +425,9 @@ def run_cli(argv=None) -> int:
     except (SchemaError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except OSError as exc:
+        if exc.filename is None:
+            raise
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -244,36 +243,41 @@ def _normalize_column(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
 
 
-#: Bytes that leave a file to the row walker: a quote (a quoted cell may
-#: hold a delimiter or a line break) and the separators 0x1C-0x1F, which
-#: numpy strips around a number and ``float`` does not.
-_WALKER_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: Bytes that leave a file to the row walker: the separators 0x1C-0x1F,
+#: which numpy strips around a number and ``float`` does not.
+_WALKER_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols):
-    """numpy's C reader, one pass over the lines after the header: (values, cells) or None.
+    """numpy's C reader, one pass over the records after the header: (values, cells) or None.
 
-    None leaves the file to ``_walk_rows``: a byte of ``_WALKER_BYTES``, a
-    line longer than csv's field limit (numpy has none), a cell numpy
-    cannot read, or a value or zone that fails the whole-column checks.
+    None leaves the file to ``_checked_rows``: a byte of ``_WALKER_BYTES``,
+    a cell numpy cannot read, a value or zone that fails the whole-column
+    checks, or a field that csv's reader refuses (numpy has no field limit).
     """
     if any(map(data.__contains__, _WALKER_BYTES)):
         return None
-    lines = data.splitlines()  # at CR, LF and CR LF only: without quotes, one record each
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
+    # With its line end kept, a quoted line break joins the next line into the cell.
+    lines = data.splitlines(keepends=True)
     usecols = [columns[name] for name in schema.numeric + tuple(col.name for col in cols)]
-    # Shapes as tuples: numpy before 2.0 reads a bare 1 as a scalar field.
     dtype = [("values", float, (len(schema.numeric),)), ("cells", object, (len(cols),))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
             table = np.loadtxt(
-                lines, dtype, comments=None, delimiter=",", skiprows=1, usecols=usecols,
-                ndmin=1, encoding="utf-8"
+                lines, dtype, comments=None, delimiter=",", quotechar='"', skiprows=1,
+                usecols=usecols, ndmin=1, encoding="utf-8"
             )
     except ValueError:
         return None
+    filled = len(lines) - 1 - sum(map(lines.count, (b"\n", b"\r\n", b"\r")))
+    if len(table) < filled or max(map(len, lines)) > csv.field_size_limit():
+        # A record spans lines or a line is long: csv's reader must take every field.
+        try:
+            if sum(map(bool, _records(data))) != len(table) + 1:
+                return None
+        except csv.Error:
+            return None
     return _checked_columns(schema, cols, table["values"], table["cells"].T.tolist())
 
 
@@ -297,37 +301,12 @@ def _records(data: bytes):
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
-def _walk_rows(path, data: bytes, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
-    """The row walker: read the records after the header in file order: (values, cells).
-
-    The records are read by column (a number by ``float``: the walker
-    accepts exactly what ``float`` accepts) and checked whole.  If that
-    fails, or the reader does, ``_checked_rows`` walks them one by one,
-    and the first fault in file order raises.
-    """
-    records = _records(data)
-    next(records)  # the header
-    try:
-        kept = list(filter(None, records))  # no blank lines
-        values = np.empty((len(kept), len(schema.numeric)))
-        for j, name in enumerate(schema.numeric):
-            values[:, j] = np.fromiter(map(float, map(itemgetter(columns[name]), kept)), float)
-        cells = [list(map(itemgetter(columns[col.name]), kept)) for col in cols]
-    except (csv.Error, IndexError, ValueError):
-        table = None
-    else:
-        table = _checked_columns(schema, cols, values, cells)
-    return table or _checked_rows(path, data, schema, columns, cols)
-
-
-def _checked_rows(path, data: bytes, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
+def _checked_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
     """Walk the rows after the header one by one; the first fault raises, else (values, cells).
 
-    The file is read again to learn the line on which each record starts,
-    so a clean parse pays nothing for line numbers.
+    ``records`` is the ``csv.reader`` that read the header; its line count
+    names the line on which each record starts.
     """
-    records = _records(data)
-    next(records)  # the header
     rows, cells = [], [[] for _ in cols]
     start = records.line_num + 1
     try:
@@ -373,16 +352,18 @@ def _float_cell(record: list[str], columns, schema: Schema, name: str, row: int)
 def parse_csv(path, schema_tag: str) -> Dataset:
     """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
-    The file must be UTF-8.  numpy's C reader parses it by column, and each
-    column is checked whole; a file it cannot take goes to the row walker,
-    which reads it with ``csv.reader`` and checks it the same way.  If a
-    check fails, the rows are walked one by one in file order, and the
-    first faulty row raises, whatever kind of fault (a csv syntax fault
-    too) it holds.  Within a row the columns are checked in schema order
-    (numeric, text, then the optional columns the header has); a numeric
-    cell fails as missing, non-numeric, non-finite, then out of range, a
-    text cell as missing, then as an unknown zone.  Blank lines are
-    skipped.  A row is named by the file line on which its record starts.
+    The file must be UTF-8.  numpy's C reader parses it by column, quoted
+    cells too, and each column is checked whole.  A file it cannot take (a
+    header across lines, a byte of ``_WALKER_BYTES``, a cell only ``float``
+    reads, a field over csv's limit), or that fails a check, goes to the
+    row walker: ``csv.reader`` reads it row by row in file order, each
+    number by ``float``, and the first faulty row raises, whatever kind of
+    fault (a csv syntax fault too) it holds.  Within a row the columns are
+    checked in schema order (numeric, text, then the optional columns the
+    header has); a numeric cell fails as missing, non-numeric, non-finite,
+    then out of range, a text cell as missing, then as an unknown zone.
+    Blank lines are skipped.  A row is named by the file line on which its
+    record starts.
     """
     schema = _schema(schema_tag)
     with open(path, "rb") as handle:
@@ -404,8 +385,8 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     if missing:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
     cols = schema.text + tuple(col for col in schema.optional if col.name in columns)
-    table = _read_columns(data, schema, columns, cols)
-    values, cells = table or _walk_rows(path, data, schema, columns, cols)
+    table = _read_columns(data, schema, columns, cols) if records.line_num == 1 else None
+    values, cells = table or _checked_rows(path, records, schema, columns, cols)
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))
     notes = (schema.zero_note.format(zero_rows),) if schema.zero_note and zero_rows else ()

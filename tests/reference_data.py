@@ -2,11 +2,13 @@
 
 The per-row CSV parsers are the ones ``locbench.data`` used before it
 parsed by column, kept here so the columnar parse can be checked against
-them.  Each walks the rows in file order and raises on the first faulty
-cell; on success it returns the parsed table as plain Python values:
-``values`` (one list of floats per row, schema column order), ``zones``,
-``times``, ``activities`` and ``notes``.  A field the schema lacks is an
-empty list.
+them.  Each reads every record first, so a csv syntax fault anywhere
+raises before any cell is checked, then walks the rows in file order and
+raises on the first faulty cell.  A row is named by the file line on
+which its record starts.  On success each returns the parsed table as
+plain Python values: ``values`` (one list of floats per row, schema
+column order), ``zones``, ``times``, ``activities`` and ``notes``.  A
+field the schema lacks is an empty list.
 
 ``split_indices`` and ``imu_windows`` are the per-row loops that grouped
 rows by class for the stratified split and cut motion windows before
@@ -41,13 +43,22 @@ def _normalize_column(name):
 
 
 def _read_rows(path):
+    """The header's columns and the non-blank records, each with the line it starts on."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
-            rows = [(line_no, rec) for line_no, rec in enumerate(reader, start=2) if rec]
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
+        rows = []
+        line_no = reader.line_num + 1
+        try:
+            for rec in reader:
+                if rec:
+                    rows.append((line_no, rec))
+                line_no = reader.line_num + 1
+        except csv.Error as exc:  # read before any row is checked, so it wins over them
+            raise ParseError(f"{path}: row {line_no}: {exc}") from None
     columns = {}
     for idx, name in enumerate(header):
         norm = _normalize_column(name)

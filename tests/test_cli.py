@@ -1,8 +1,11 @@
 import csv
+import errno
 import json
+import os
 
 import pytest
 
+from locbench import cli
 from locbench.activity import bundled_models_path
 from locbench.cli import CliUsageError, _parse_seeds, run_cli
 from locbench.data import (
@@ -495,6 +498,28 @@ class TestBadArguments:
         code = run(["coords", "--data", str(data), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: Not a directory: {data}\n"
+
+    @pytest.mark.parametrize(
+        "case", ["coords-data", "metrics-errors", "validate-activities-file", "coords-out-dir"]
+    )
+    def test_file_name_too_long_exits_one_before_the_fit(
+        self, case, beacon_csv, tmp_path, capsys, monkeypatch
+    ):
+        long = str(tmp_path / ("x" * 300))
+        out = str(tmp_path / "out")
+        argv = {
+            "coords-data": ["coords", "--data", long, "--out-dir", out],
+            "metrics-errors": ["metrics", "--errors-x", long, "--errors-y", long, "--out-dir", out],
+            "validate-activities-file": ["validate-activities", "--file", long],
+            "coords-out-dir": ["coords", "--data", str(beacon_csv), "--out-dir", long],
+        }[case]
+        read, parse = [], cli.parse_beacon_csv
+        monkeypatch.setattr(cli, "parse_beacon_csv", lambda path: read.append(path) or parse(path))
+        capsys.readouterr()  # the fixture's synth line
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENAMETOOLONG)}: {long}\n"
+        assert read == ([long] if case == "coords-data" else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beacons.csv"]
 
     def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"

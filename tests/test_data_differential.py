@@ -3,17 +3,19 @@
 Small files are drawn cell by cell from pools of valid and faulty text
 (underscored and full-width digits, padded numbers, nan/inf spellings,
 empty cells, short rows, blank lines, unknown and mixed-case zones,
-readings outside [-120, 0], negative and zero distances) under a header
-with shuffled, re-cased columns.  Both parsers must accept the same
-files with equal tables, and reject the same files at the same row.
-When the first faulty row has one fault the message must be identical
+readings outside [-120, 0], negative and zero distances, text and zones
+with commas, quotes, CR, LF and CR LF) under a header with shuffled,
+re-cased columns.  Up to two columns are quoted in every row, numbers
+too; any other cell is quoted only where csv needs it, so a quote inside
+a field may stand bare.  Both parsers must accept the same files with
+equal tables, and reject the same files at the same row.  When the
+first faulty row has one fault the message must be identical
 (except that the reference wrote ``row N: row N: missing value ...`` for
 a short row without its zone cell); when its faults are all of one kind
 the exception type must be; a row with several faults may name a
 different one of them.
 """
 
-import csv
 import math
 import re
 
@@ -28,8 +30,10 @@ POSITIONS = ["122", "-3.5", "1_0", " 2 ", "７", "0", "1e3"]
 DISTANCES = ["0", "-0", "0.877", " 1.5 ", "1_0", "３", "2e-3"]
 READINGS = ["-120", "-120.0", "-70", " -55.5 ", "0", "-0", "-1_0", "-９０"]
 CHANNELS = ["0.12", "-0.98", "1_0", " 2 ", "５", "-0", "1e-3"]
-LOCATIONS = ["bedroom", "Kitchen", " OFFICE ", "toilet"]
-TEXTS = ["t0", "", "2017 12:20:22.583", " spaced ", "Cooking"]
+#: Cells that hold a comma, a quote or a line break; a zone with a line break still reads.
+QUOTED = ["day 1, t0", '"t0"', 't"0', "t0\r1", "t0\n1", "t0\r\n1", "\r\n", '""']
+LOCATIONS = ["bedroom", "Kitchen", " OFFICE ", "toilet", "kitchen\r\n", " Toilet\n"]
+TEXTS = ["t0", "", "2017 12:20:22.583", " spaced ", "Cooking"] + QUOTED
 FAULTY = [
     "nan", "inf", "-inf", "Infinity", "", "abc", "1e999", "-121", "0.5", "5", "-0.5",
     "-1", "garage", "Attic", "１２", "1__0",
@@ -106,7 +110,28 @@ def csv_files(draw, tag):
                 record = record[: draw(st.integers(0, len(record) - 1))]  # a short row
         lines.append(record)
     shown = [name.upper() if draw(st.booleans()) else name for name in header]
-    return header, shown, lines
+    quoted = draw(st.sets(st.integers(0, len(header) - 1), max_size=2))
+    return header, shown, lines, quoted
+
+
+def written(record, quoted=()):
+    """One line of the file: a cell quoted if its column is, or if csv must quote it."""
+    if record == [""]:
+        return '""'  # else a blank line
+    quote = lambda idx, cell: idx in quoted or re.search(r'^"|[,\r\n]', cell)
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if quote(idx, cell) else cell
+        for idx, cell in enumerate(record)
+    )
+
+
+def record_starts(lines):
+    """The file line on which each drawn record starts, after the header."""
+    starts, line_no = {}, 2
+    for record in lines:
+        starts[line_no] = record
+        line_no += 1 + sum(len(re.findall(r"\r\n|\r|\n", cell)) for cell in record)
+    return starts
 
 
 def outcome(parse, path):
@@ -117,12 +142,10 @@ def outcome(parse, path):
 
 
 def check_against_reference(tag, drawn, tmp_path_factory):
-    header, shown, lines = drawn
+    header, shown, lines, quoted = drawn
     path = tmp_path_factory.mktemp("diff") / f"{tag}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(shown)
-        writer.writerows(lines)
+    text = [written(shown)] + [written(record, quoted) for record in lines]
+    path.write_bytes("".join(line + "\r\n" for line in text).encode("utf-8"))
     expected, expected_exc = outcome(PARSERS[tag], path)
     got, got_exc = outcome(lambda p: parse_csv(p, tag), path)
 
@@ -143,7 +166,7 @@ def check_against_reference(tag, drawn, tmp_path_factory):
         return
     row = int(re.match(r"row (\d+): ", str(expected_exc)).group(1))
     assert re.match(r"row (\d+): ", str(got_exc)).group(1) == str(row), (expected_exc, got_exc)
-    faults = row_faults(tag, header, lines[row - 2])
+    faults = row_faults(tag, header, record_starts(lines)[row])
     assert faults, f"row {row} has no fault the test knows of: {expected_exc}"
     if len(set(faults)) == 1:
         assert type(got_exc) is type(expected_exc), (expected_exc, got_exc)
