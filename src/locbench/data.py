@@ -270,9 +270,11 @@ def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols)
             )
     except ValueError:
         return None
-    filled = len(lines) - 1 - sum(map(lines.count, (b"\n", b"\r\n", b"\r")))
-    if len(table) < filled or max(map(len, lines)) > csv.field_size_limit():
-        # A record spans lines or a line is long: csv's reader must take every field.
+    # Only a quoted cell joins lines: then numpy returns fewer rows than non-blank lines.
+    blank = (b"\n", b"\r\n", b"\r")
+    joined = b'"' in data and len(table) < len(lines) - 1 - sum(map(lines.count, blank))
+    if joined or max(map(len, lines)) > csv.field_size_limit():
+        # A field may be over csv's limit, which numpy does not know: csv's reader must take it.
         try:
             if sum(map(bool, _records(data))) != len(table) + 1:
                 return None
