@@ -47,6 +47,9 @@ OUT_DIR_ENV = "LOCBENCH_OUT_DIR"
 
 #: Most seeds one ``compare --seeds`` may name; every seed refits each family.
 MAX_SEEDS = 1000
+#: Most rows one ``synth`` run may write; it holds every row in memory, about
+#: 0.4 KiB each.
+MAX_SYNTH_ROWS = 1_000_000
 
 
 class CliUsageError(ValueError):
@@ -358,6 +361,8 @@ def _cmd_validate_activities(args) -> int:
 def _cmd_synth(args) -> int:
     if args.rows < 0:
         raise CliUsageError(f"--rows must be >= 0, got {args.rows}")
+    if args.rows > MAX_SYNTH_ROWS:
+        raise CliUsageError(f"--rows must be <= {MAX_SYNTH_ROWS}, got {args.rows}")
     if args.seed < 0:
         raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
     _echo_config(args)

@@ -14,14 +14,25 @@ lane in ascending order, and the distance is lane 0 + lane 1.  It is the
 order numpy's ``einsum("qnp,qnp->qn")`` kernel sums in (numpy 2.4), so
 distances and ties equal that whole-tensor reference bit for bit.
 
+Distances are computed to distinct training rows only.  ``fit_knn`` groups
+rows that are equal cell for cell (scanner readings repeat: whole dBm) and
+keeps, for each distinct row, its training rows in ascending order, the
+first k of them at most; a training set without repeats is the case of one
+row per group.  Equal rows have bitwise equal distances to any query (+0.0
+and -0.0 cells included: their squared differences are equal), so a tie
+between them goes to the lower row index, and no row after a group's k-th
+can be among the k nearest.
+
 Queries are processed in blocks of at most ``_BLOCK_ELEMENTS`` distance
-cells (block rows x training rows, one query row at least).  Distances are
-built one feature column at a time into (block rows x training rows)
+cells (block rows x distinct rows, one query row at least).  Distances are
+built one feature column at a time into (block rows x distinct rows)
 buffers that are allocated once per ``predict_knn`` call and reused for
 every block, so memory is bounded by three such buffers, not by the number
-of queries or features.  The k nearest rows are picked by a linear-time
-partition and then ordered by (distance, training row index): exactly the
-first k of a stable argsort.
+of queries or features.  A linear-time partition finds each query's k-th
+smallest distinct distance (or its largest, with fewer than k distinct
+rows); every distinct row at or under it expands to its kept training rows,
+which are then ordered by (distance, training row index): exactly the
+first k of a stable argsort over all training rows.
 """
 
 from __future__ import annotations
@@ -32,8 +43,8 @@ import numpy as np
 
 from ..data import ValidationError
 
-# Distance cells (query rows x training rows) in one block: 2**15 float64
-# cells are 256 KiB per buffer.
+# Distance cells (query rows x distinct training rows) in one block: 2**15
+# float64 cells are 256 KiB per buffer.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -43,6 +54,11 @@ class KnnModel:
     y: np.ndarray
     k: int
     task: str
+    # The distinct training rows, transposed (features x distinct rows), and
+    # each one's first min(count, k) training rows in ascending order
+    # (distinct rows x width), padded with the index len(X).
+    columns: np.ndarray
+    members: np.ndarray
     n_classes: int | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -77,7 +93,25 @@ def fit_knn(X, y, *, k: int = 5, task: str = "regression", n_classes: int | None
         y = y.astype(float)
         if not np.isfinite(y).all():
             raise ValidationError("training targets contain non-finite values")
-    return KnnModel(X=X, y=y, k=k, task=task, n_classes=n_classes)
+    columns, members = _group_rows(X, k)
+    return KnnModel(X=X, y=y, k=k, task=task, columns=columns, members=members, n_classes=n_classes)
+
+
+def _group_rows(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``X`` with their first k row indices (see ``KnnModel``)."""
+    n = len(X)
+    # A stable sort keeps each group's rows in ascending order.
+    order = np.lexsort(X.T) if X.shape[1] else np.arange(n)
+    same = np.ones(n - 1, dtype=bool)  # sorted row i + 1 equals sorted row i
+    for column in X.T:
+        column = column[order]
+        same &= column[1:] == column[:-1]
+    starts = np.flatnonzero(np.r_[True, ~same])
+    counts = np.diff(starts, append=n)
+    slots = np.arange(min(k, counts.max()))
+    members = np.take(order, starts[:, None] + slots, mode="clip")
+    np.copyto(members, n, where=slots >= counts[:, None])
+    return np.ascontiguousarray(X[order[starts]].T), members
 
 
 def _lane_columns(p: int) -> tuple[list[int], list[int]]:
@@ -96,11 +130,11 @@ def _lane_columns(p: int) -> tuple[list[int], list[int]]:
 def _block_distances(
     queries: np.ndarray, columns: np.ndarray, d2: np.ndarray, lane: np.ndarray, square: np.ndarray
 ) -> np.ndarray:
-    """Squared distances of ``queries`` to the training rows, written into ``d2``.
+    """Squared distances of ``queries`` to the rows of ``columns.T``, written into ``d2``.
 
-    ``columns`` is the training matrix transposed (features x training rows);
-    ``d2``, ``lane`` and ``square`` are (query rows x training rows) buffers,
-    the last two scratch.  Lane 0 sums into ``d2``, lane 1 into ``lane``.
+    ``columns`` is the (distinct) training rows transposed (features x rows);
+    ``d2``, ``lane`` and ``square`` are (query rows x rows) buffers, the last
+    two scratch.  Lane 0 sums into ``d2``, lane 1 into ``lane``.
     """
     for total, cols in zip((d2, lane), _lane_columns(len(columns))):
         for i, j in enumerate(cols):
@@ -116,28 +150,45 @@ def _block_distances(
     return d2
 
 
-def _nearest_in_block(d2: np.ndarray, k: int) -> np.ndarray:
-    """First k columns of ``np.argsort(d2, axis=1, kind="stable")``."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    # Every cell at most the k-th distance is a candidate, at least k per
-    # row; order them by (row, distance, column) and keep each row's first k.
-    rows, cols = np.nonzero(d2 <= kth)
-    order = np.lexsort((cols, d2[rows, cols], rows))
+def _nearest_in_block(d2: np.ndarray, scratch: np.ndarray, model: KnnModel) -> np.ndarray:
+    """First k columns of a stable argsort of the distances to all training rows.
+
+    ``d2`` holds the distances to the distinct rows (see the module docstring);
+    ``scratch``, of the same shape, is partitioned in place.
+    """
+    k = model.k
+    last = min(k, d2.shape[1]) - 1
+    np.copyto(scratch, d2)
+    scratch.partition(last, axis=1)
+    kth = scratch[:, last : last + 1]
+    # Every distinct row at most that far is a candidate; it stands for its
+    # kept training rows, at least k per query row in all.  Order them by
+    # (query row, distance, training row) and keep each query row's first k.
+    # Padding sorts last: its distance is +inf and its index len(X).
+    rows, groups = np.nonzero(d2 <= kth)
+    cols = model.members[groups]
+    dist = np.where(cols < len(model.X), d2[rows, groups][:, None], np.inf).ravel()
+    cols = cols.ravel()
+    rows = np.repeat(rows, model.members.shape[1])
+    order = np.lexsort((cols, dist, rows))
     firsts = np.searchsorted(rows, np.arange(len(d2)))[:, None] + np.arange(k)
     return cols[order[firsts]]
 
 
 def _neighbor_indices(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    n = len(model.X)
-    rows = max(1, min(len(queries), _BLOCK_ELEMENTS // n))
-    columns = np.ascontiguousarray(model.X.T)
-    d2, lane, square = np.empty((3, rows, n))
+    u = len(model.members)
+    rows = max(1, min(len(queries), _BLOCK_ELEMENTS // u))
+    # Three buffers, not one (3 x block) array: once glibc serves them from
+    # its heap (freeing the first call's mapped buffers raises its mmap
+    # threshold past their size), one large request rarely fits a freed
+    # hole and grows the heap instead.
+    d2, lane, square = (np.empty((rows, u)) for _ in range(3))
     nearest = np.empty((len(queries), model.k), dtype=np.intp)
     for start in range(0, len(queries), rows):
         block = queries[start : start + rows]
         m = len(block)
-        _block_distances(block, columns, d2[:m], lane[:m], square[:m])
-        nearest[start : start + m] = _nearest_in_block(d2[:m], model.k)
+        _block_distances(block, model.columns, d2[:m], lane[:m], square[:m])
+        nearest[start : start + m] = _nearest_in_block(d2[:m], lane[:m], model)
     return nearest
 
 

@@ -464,6 +464,17 @@ class TestBadArguments:
         assert capsys.readouterr().err == "error: --rows must be >= 0, got -5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("excess", [1, 10**13])
+    def test_synth_rows_above_the_limit_exit_one(self, excess, tmp_path, capsys, monkeypatch):
+        # Refused before a generator runs: none of them may be called.
+        for name in ("synthetic_walk_dataset", "synthetic_rssi_dataset", "synthetic_imu_dataset"):
+            monkeypatch.setattr(cli, name, None)
+        limit = cli.MAX_SYNTH_ROWS
+        out = tmp_path / "s.csv"
+        assert run(["synth", "--rows", str(limit + excess), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --rows must be <= {limit}, got {limit + excess}\n"
+        assert not out.exists()
+
     def test_negative_synth_seed_exit_one(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run(["synth", "--seed", "-1", "--out", str(out)]) == 1

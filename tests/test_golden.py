@@ -3,11 +3,13 @@
 Every report file a run writes is pinned by its SHA-256, so a change that
 claims to keep outputs byte-identical (a faster tree, a new data layout)
 is checked against the exact bytes, not a tolerance.  Inputs are ~120-row
-``synth`` files generated with fixed seeds, plus a tie-heavy scanner file
-whose readings take three coarse levels and whose labels disagree on
-identical readings, so the k-NN tie rule decides its predictions.  The
-``synth`` input files are pinned too.  A change that alters these hashes
-on purpose must name and justify the new values in CHANGES.md.
+``synth`` files generated with fixed seeds, plus two tie-heavy scanner
+files: one whose readings take three coarse levels, and one of whole-dBm
+readings over ten fingerprints, each repeated far more than k times.  Their
+labels disagree on identical readings, so the k-NN tie rule decides their
+predictions.  The ``synth`` input files are pinned too.  A change that
+alters these hashes on purpose must name and justify the new values in
+CHANGES.md.
 """
 
 import csv
@@ -120,6 +122,14 @@ CASES = {
             "report.json": "39fce86c320fa741974df0aa4f15c04823afdae8660173afdfce333a8ba4c980",
         },
     ),
+    "zone-rssi-repeats": (
+        ["zone-rssi", "--data", "{repeats}"],
+        {
+            "confusion.md": "a0d973c291ee0a560ecd40267b431e23d33c29753ff864900fc83ba8331037f7",
+            "predictions.csv": "b5a99cdcf12eba11eba562b57e79cb351d4bacc992b90fa02375e9aef09c6682",
+            "report.json": "f5fd859112a486a8859c69155898e2322c6cb1cd3a4a0525f97f98bac607ab10",
+        },
+    ),
     "zone-imu-tree-depth": (
         ["zone-imu", "--data", "{imu}", "--model", "decision_tree", "--depth", "4"],
         {
@@ -190,6 +200,17 @@ def inputs(tmp_path_factory):
     lines += [",".join(map(str, r)) + f",{z}" for r, z in zip(readings.tolist(), labels)]
     (root / "ties.csv").write_text("\n".join(lines) + "\n")
     paths["ties"] = str(root / "ties.csv")
+    # Whole-dBm readings that repeat: 400 rows over 10 fingerprints, so each
+    # fingerprint's group holds far more than k training rows; half the
+    # labels follow the fingerprint, the rest are drawn at random.
+    rng = np.random.default_rng(15)
+    fingerprints = rng.integers(-100, -40, size=(10, len(ZONES)))
+    which = rng.integers(0, 10, size=400)
+    zones = np.where(rng.random(400) < 0.5, which % len(ZONES), rng.integers(0, len(ZONES), 400))
+    lines = [",".join(SCHEMAS["rssi"].required)]
+    lines += [",".join(map(str, r)) + f",{ZONES[z]}" for r, z in zip(fingerprints[which].tolist(), zones)]
+    (root / "repeats.csv").write_text("\n".join(lines) + "\n")
+    paths["repeats"] = str(root / "repeats.csv")
     return paths
 
 
@@ -215,7 +236,8 @@ def test_report_hashes(case, inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["coords-knn", "compare-all", "zone-rssi-knn", "zone-rssi-k3", "zone-rssi-ties"]
+    "case",
+    ["coords-knn", "compare-all", "zone-rssi-knn", "zone-rssi-k3", "zone-rssi-ties", "zone-rssi-repeats"],
 )
 def test_knn_hashes_with_one_query_per_block(case, inputs, tmp_path, capsys, monkeypatch):
     # A one-element budget makes every query row its own distance block.

@@ -169,10 +169,52 @@ def knn_cases(draw, p=st.integers(1, 4), scale=1.0):
     return X, queries, k, block
 
 
+@st.composite
+def repeat_heavy_cases(draw):
+    """Few distinct grid rows, each repeated up to 3k times in random order,
+    with zero cells of either sign inside a group."""
+    p = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 6))
+    cell = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+    row = st.lists(cell, min_size=p, max_size=p)
+
+    def grid_rows(most):
+        rows = draw(st.lists(row, min_size=1, max_size=most))
+        return np.array(rows, dtype=float).reshape(len(rows), p)
+
+    distinct = grid_rows(4)
+    copies = draw(st.lists(st.integers(1, 3 * k), min_size=len(distinct), max_size=len(distinct)))
+    X = np.repeat(distinct, copies, axis=0)
+    X = X[draw(st.permutations(range(len(X))))]
+    negative = np.array(draw(st.lists(st.booleans(), min_size=X.size, max_size=X.size)), dtype=bool)
+    X = np.where((X == 0) & negative.reshape(X.shape), -0.0, X)
+    queries = grid_rows(12)
+    u = len({tuple(r) for r in X.tolist()})  # -0.0 == 0.0, so signs do not split a row
+    block = draw(st.sampled_from([1, u, 3 * u + 1, 1 << 20]))  # distance cells
+    return X, queries, min(k, len(X)), block
+
+
 class TestBlockedNeighbors:
     @settings(max_examples=300, deadline=None)
     @given(knn_cases(), st.data())
     def test_matches_whole_matrix_stable_argsort(self, case, data):
+        X, queries, k, block = case
+        expected = reference_neighbor_indices(X, queries, k)
+        y = np.array(data.draw(st.lists(st.integers(0, 8), min_size=len(X), max_size=len(X))))
+        y_reg, y_cls = y / 7, y % 3
+        regressor = fit_knn(X, y_reg, k=k)
+        classifier = fit_knn(X, y_cls, k=k, task="classification", n_classes=3)
+        with mock.patch.object(neighbors, "_BLOCK_ELEMENTS", block):
+            assert np.array_equal(neighbors._neighbor_indices(regressor, queries), expected)
+            mean = predict_knn(regressor, queries)
+            votes = predict_knn(classifier, queries)
+        assert mean.tobytes() == y_reg[expected].mean(axis=1).tobytes()
+        assert votes.tobytes() == reference_votes(y_cls, expected, 3, k).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeat_heavy_cases(), st.data())
+    def test_repeated_rows_match_whole_matrix_stable_argsort(self, case, data):
+        # Groups larger than k, labels that disagree within a group.
         X, queries, k, block = case
         expected = reference_neighbor_indices(X, queries, k)
         y = np.array(data.draw(st.lists(st.integers(0, 8), min_size=len(X), max_size=len(X))))
