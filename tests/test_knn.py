@@ -195,9 +195,8 @@ def repeat_heavy_cases(draw):
 
 
 class TestBlockedNeighbors:
-    @settings(max_examples=300, deadline=None)
-    @given(knn_cases(), st.data())
-    def test_matches_whole_matrix_stable_argsort(self, case, data):
+    @staticmethod
+    def check_against_whole_matrix(case, data):
         X, queries, k, block = case
         expected = reference_neighbor_indices(X, queries, k)
         y = np.array(data.draw(st.lists(st.integers(0, 8), min_size=len(X), max_size=len(X))))
@@ -212,21 +211,15 @@ class TestBlockedNeighbors:
         assert votes.tobytes() == reference_votes(y_cls, expected, 3, k).tobytes()
 
     @settings(max_examples=300, deadline=None)
+    @given(knn_cases(), st.data())
+    def test_matches_whole_matrix_stable_argsort(self, case, data):
+        self.check_against_whole_matrix(case, data)
+
+    @settings(max_examples=300, deadline=None)
     @given(repeat_heavy_cases(), st.data())
     def test_repeated_rows_match_whole_matrix_stable_argsort(self, case, data):
         # Groups larger than k, labels that disagree within a group.
-        X, queries, k, block = case
-        expected = reference_neighbor_indices(X, queries, k)
-        y = np.array(data.draw(st.lists(st.integers(0, 8), min_size=len(X), max_size=len(X))))
-        y_reg, y_cls = y / 7, y % 3
-        regressor = fit_knn(X, y_reg, k=k)
-        classifier = fit_knn(X, y_cls, k=k, task="classification", n_classes=3)
-        with mock.patch.object(neighbors, "_BLOCK_ELEMENTS", block):
-            assert np.array_equal(neighbors._neighbor_indices(regressor, queries), expected)
-            mean = predict_knn(regressor, queries)
-            votes = predict_knn(classifier, queries)
-        assert mean.tobytes() == y_reg[expected].mean(axis=1).tobytes()
-        assert votes.tobytes() == reference_votes(y_cls, expected, 3, k).tobytes()
+        self.check_against_whole_matrix(case, data)
 
     @settings(max_examples=300, deadline=None)
     @given(knn_cases(p=st.integers(0, 12), scale=0.1))
