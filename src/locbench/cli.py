@@ -50,6 +50,9 @@ MAX_SEEDS = 1000
 #: Most rows one ``synth`` run may write; it holds every row in memory, about
 #: 0.4 KiB each.
 MAX_SYNTH_ROWS = 1_000_000
+#: ``--trees`` and each ``--layers`` width are bounded where every learner
+#: parameter is checked, in the registry (MAX_TREES, MAX_LAYER_WIDTH), so
+#: the flags and ``LearnerSpec.from_text`` refuse the same values.
 
 
 class CliUsageError(ValueError):
@@ -249,10 +252,11 @@ def _print_summary(args, payload: dict, table_md: str | None = None) -> None:
 
 
 def _cmd_zone(args, kind: str) -> int:
+    learner = _learner_spec(args)  # refuses bad learner flags before any work
     parse = parse_rssi_csv if kind == "rssi" else parse_imu_csv
     dataset = parse(args.data)
     config = PipelineConfig(
-        learner=_learner_spec(args),
+        learner=learner,
         split=SplitConfig(train_ratio=args.train_ratio, seed=args.seed, stratified=True),
         window=getattr(args, "window", None),
     )
@@ -280,10 +284,11 @@ def _echo_notes(dataset) -> None:
 
 
 def _cmd_coords(args) -> int:
+    learner = _learner_spec(args)  # refuses bad learner flags before any work
     dataset = parse_beacon_csv(args.data)
     _echo_notes(dataset)
     config = PipelineConfig(
-        learner=_learner_spec(args),
+        learner=learner,
         split=SplitConfig(train_ratio=args.train_ratio, seed=args.seed, stratified=False),
     )
     _echo_config(args, {"learner": config.learner.to_text()})

@@ -54,6 +54,8 @@ __all__ = [
     "KnnModel",
     "LearnerSpec",
     "LinearModel",
+    "MAX_LAYER_WIDTH",
+    "MAX_TREES",
     "MlpModel",
     "MlpNetwork",
     "PARAMS",
@@ -113,9 +115,20 @@ class Param:
 
 _COUNT = "an integer >= 1"
 
+#: Most trees one forest or boosted ensemble may hold; each is fitted in turn.
+MAX_TREES = 10_000
+#: Most units one hidden layer may have.  Two layers this wide already need
+#: an 8 MB weight matrix, and its gradient, per network.
+MAX_LAYER_WIDTH = 1_000
+
 PARAMS: dict[str, Param] = {
     "k": Param(int, _count, _COUNT, "neighbors (knn)"),
-    "trees": Param(int, _count, _COUNT, "ensemble size"),
+    "trees": Param(
+        int,
+        lambda v: _count(v) and v <= MAX_TREES,
+        f"an integer from 1 to {MAX_TREES}",
+        "ensemble size",
+    ),
     "depth": Param(int, _count, _COUNT, "maximum tree depth"),
     "min_leaf": Param(int, _count, _COUNT),
     "epochs": Param(int, _count, _COUNT),
@@ -126,8 +139,10 @@ PARAMS: dict[str, Param] = {
     ),
     "layers": Param(
         int_tuple,
-        lambda v: isinstance(v, tuple) and len(v) >= 1 and all(_count(s) for s in v),
-        "one or more integers >= 1",
+        lambda v: isinstance(v, tuple)
+        and len(v) >= 1
+        and all(_count(s) and s <= MAX_LAYER_WIDTH for s in v),
+        f"one or more integers from 1 to {MAX_LAYER_WIDTH}",
         "hidden layer sizes, comma separated (ann/deep_learning)",
         show=lambda v: ",".join(str(s) for s in v),
     ),

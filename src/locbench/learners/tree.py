@@ -12,10 +12,27 @@ distinct sorted feature values.  Queries descend LEFT when the feature
 value is strictly greater than the node threshold, right otherwise --
 the same orientation as rule listings that print the ">" branch first.
 
-Growth sorts each feature once per tree and hands every node its rows
-already in sorted order per feature, so one vectorized pass searches
-all candidate features of a node.  Prediction moves every query row
-down one level per step.
+Growth sorts each feature once per tree, then pops nodes off an explicit
+stack: a split pushes its right child, then its left, so nodes come off
+in preorder.  A pending node holds its parent's sample ids in sorted
+order per feature and a mask of those it owns; only a node that is
+searched applies the mask, and it reads the searched features' values
+from the feature matrix through those ids, so one vectorized pass
+searches all candidate features of a node.  Classification passes class
+counts down: one bincount at the root, then the split search's running
+counts of the first k sorted samples are the right child's table and the
+parent's minus them the left child's, so purity, the parent's Gini and a
+leaf's table need no gather.  Regression keeps each node's rows in
+ascending sample order and sums their targets in that order.
+
+With ``mtry``, feature subsets are drawn 64 nodes at a time by one
+``integers`` call that makes the draws numpy's ``choice`` would make
+(see :class:`_FeatureSubsets`), so each subset equals a per-node
+``np.sort(rng.choice(p, mtry, replace=False))``.  When the tree is done
+the generator is rewound to before the last block and redraws only the
+subsets used, which leaves it where per-node draws would.
+
+Prediction moves every query row down one level per step.
 """
 
 from __future__ import annotations
@@ -121,40 +138,57 @@ def tree_gains(tree: Tree, n_features: int) -> np.ndarray:
     return np.bincount(tree.feature[splits], weights=tree.gain[splits], minlength=n_features)
 
 
-def _best_split(xs, ys, parent, min_leaf, n_classes):
-    """Best (gain, row, threshold) over a block of candidate features, or None.
+#: Feature subsets drawn per generator call.
+_SUBSET_BLOCK = 64
+#: numpy's ``choice`` draws a subset by Floyd's algorithm for every subset
+#: size up to this many features; past it, subsets are drawn one at a time.
+_FLOYD_MAX_FEATURES = 10_000
 
-    Row r of ``xs`` holds one feature's values over the node's samples in
-    ascending order and row r of ``ys`` their targets.  Splitting between
-    sorted positions i and i+1 sends the first i+1 samples (values <=
-    threshold) RIGHT and the rest LEFT.  Exact gain ties resolve to the
-    lowest row, then the lowest threshold: the first maximum in row-major
-    order.  A best gain below zero yields None.
+
+class _FeatureSubsets:
+    """Sorted feature subsets equal to successive ``np.sort(rng.choice(p, mtry,
+    replace=False))`` calls, drawn a block at a time.
+
+    For p <= 10,000 numpy draws a value uniformly from [0, j] for j = p -
+    mtry, ..., p - 1 and takes j when the value is taken already (Floyd's
+    algorithm), then shuffles the subset with draws from [0, i] for i =
+    mtry - 1, ..., 1.  One ``rng.integers`` call over those bounds, tiled,
+    makes a whole block's draws in the same order.  Sorting discards the
+    shuffle, but its draws are consumed all the same.  Past 10,000
+    features numpy may use a partial shuffle instead, so there each
+    subset is its own ``choice`` call.
     """
-    m = xs.shape[1]
-    lo, hi = min_leaf - 1, m - min_leaf  # positions leaving min_leaf samples per side
-    n_right = np.arange(lo + 1, hi + 1, dtype=float)
-    n_left = m - n_right
-    if n_classes is None:
-        csum = ys.cumsum(axis=1)
-        csq = (ys * ys).cumsum(axis=1)
-        sse_right = csq[:, lo:hi] - csum[:, lo:hi] ** 2 / n_right
-        sse_left = (csq[:, -1:] - csq[:, lo:hi]) - (csum[:, -1:] - csum[:, lo:hi]) ** 2 / n_left
-        gain = parent - (sse_left + sse_right)
-    else:
-        # Integer counts keep every sum of squares exact.
-        cum = (ys[:, :, None] == np.arange(n_classes)).cumsum(axis=1)
-        right_counts = cum[:, lo:hi]
-        left_counts = cum[:, -1:] - right_counts
-        gini_right = n_right - (right_counts**2).sum(axis=2) / n_right
-        gini_left = n_left - (left_counts**2).sum(axis=2) / n_left
-        gain = parent - (gini_left + gini_right)
-    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
-    row, pos = divmod(int(gain.argmax()), hi - lo)
-    if not gain[row, pos] >= 0:
-        return None
-    threshold = (xs[row, lo + pos] + xs[row, lo + pos + 1]) / 2.0
-    return float(gain[row, pos]), row, float(threshold)
+
+    def __init__(self, rng: np.random.Generator, p: int, mtry: int):
+        self.rng, self.p, self.mtry = rng, p, mtry
+        self.bounds = np.concatenate([np.arange(p - mtry + 1, p + 1), np.arange(mtry, 1, -1)])
+        self.block = self.state = None
+        self.used = _SUBSET_BLOCK
+
+    def draw(self) -> np.ndarray:
+        if self.p > _FLOYD_MAX_FEATURES:
+            return np.sort(self.rng.choice(self.p, size=self.mtry, replace=False))
+        if self.used == _SUBSET_BLOCK:
+            self.state = self.rng.bit_generator.state
+            draws = self._integers(_SUBSET_BLOCK)
+            rows = np.arange(_SUBSET_BLOCK)
+            taken = np.zeros((_SUBSET_BLOCK, self.p), dtype=bool)
+            for step, j in enumerate(range(self.p - self.mtry, self.p)):
+                taken[rows, np.where(taken[rows, draws[:, step]], j, draws[:, step])] = True
+            # Each row holds mtry marks, so its column indices are its sorted subset.
+            self.block = taken.nonzero()[1].reshape(_SUBSET_BLOCK, self.mtry)
+            self.used = 0
+        self.used += 1
+        return self.block[self.used - 1]
+
+    def _integers(self, count: int) -> np.ndarray:
+        return self.rng.integers(0, np.tile(self.bounds, count)).reshape(count, -1)
+
+    def rewind(self) -> None:
+        """Leave the generator where one ``choice`` call per subset would."""
+        if self.state is not None:
+            self.rng.bit_generator.state = self.state
+            self._integers(self.used)
 
 
 def fit_tree(
@@ -170,11 +204,12 @@ def fit_tree(
 ) -> Tree:
     """Grow a tree on (X, y).
 
-    For classification, ``y`` holds integer class indices and
-    ``n_classes`` must be given; leaves then store class-count tables.
-    ``mtry`` enables per-split feature subsampling from ``rng`` (used by
-    forests); if the sampled subset admits no valid split the search
-    falls back to all features before giving up.
+    For classification, ``y`` holds integer class indices in ``0 ..
+    n_classes - 1`` and leaves store class-count tables; regression
+    targets must be finite.  ``mtry`` enables per-split feature
+    subsampling from ``rng`` (used by forests); an ``mtry`` of p or more
+    searches every feature.  If the sampled subset admits no valid split
+    the search falls back to all features before giving up.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -182,77 +217,137 @@ def fit_tree(
         raise ValidationError(f"X and y disagree: {X.shape} vs {y.shape}")
     if len(y) == 0:
         raise ValidationError("cannot fit a tree on an empty training set")
+    if min_leaf < 1:
+        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     if len(y) < min_leaf:
         raise ValidationError(f"need at least min_leaf={min_leaf} samples, got {len(y)}")
     if task == "classification":
         if n_classes is None:
             raise ValidationError("classification requires n_classes")
         y = y.astype(int)
+        if y.min() < 0 or y.max() >= n_classes:
+            raise ValidationError(
+                f"class labels must lie in 0..{n_classes - 1}, got {y.min()}..{y.max()}"
+            )
         inner_value: float | np.ndarray = np.zeros(n_classes, dtype=np.intp)
     elif task == "regression":
         y = y.astype(float)
+        if not np.isfinite(y).all():
+            raise ValidationError("regression targets must be finite")
         n_classes = None
         inner_value = 0.0
     else:
         raise ValidationError(f"unknown task {task!r}")
-    if mtry is not None and rng is None:
-        raise ValidationError("feature subsampling requires an rng")
+    if mtry is not None:
+        if mtry < 1:
+            raise ValidationError(f"mtry must be >= 1, got {mtry}")
+        if rng is None:
+            raise ValidationError("feature subsampling requires an rng")
 
     n, p = X.shape
-    nodes: list[list] = []  # [feature, threshold, left, right, value, count, gain]
-
-    def grow(idx, ids, xs, keep, depth: int) -> None:
-        """Append the subtree over samples ``idx`` (ascending) in preorder.
-
-        Row f of ``ids[keep].reshape(p, -1)`` lists the same samples by
-        ascending feature f, value ties by sample id, and ``xs`` holds
-        their values likewise.  Only a node that is searched gathers them.
-        """
-        yn = y[idx]
-        node = [-1, 0.0, -1, -1, inner_value, len(idx), 0.0]
-        nodes.append(node)
-        best = None
-        if (
-            (max_depth is None or depth < max_depth)
-            and len(idx) >= 2 * min_leaf
-            and yn.min() < yn.max()
-        ):
-            ids, xs = ids[keep].reshape(p, -1), xs[keep].reshape(p, -1)
-            # Summed in ascending sample order, so the rounding never changes.
-            if n_classes is None:
-                parent = float((yn * yn).sum() - yn.sum() ** 2 / len(yn))
-            else:
-                counts = np.bincount(yn, minlength=n_classes)
-                parent = float(len(yn) - (counts * counts).sum() / len(yn))
-            if mtry is not None and mtry < p:
-                features = np.sort(rng.choice(p, size=mtry, replace=False))
-                best = _best_split(xs[features], y[ids[features]], parent, min_leaf, n_classes)
-            if best is None:
-                features = np.arange(p)
-                best = _best_split(xs, y[ids], parent, min_leaf, n_classes)
-        if best is None:
-            if n_classes is None:
-                node[4] = float(yn.mean())
-            else:
-                node[4] = np.bincount(yn, minlength=n_classes)
-            return
-
-        gain, row, threshold = best
-        feature = int(features[row])
-        goes_left = Xt[feature, idx] > threshold
-        to_left = Xt[feature, ids] > threshold
-        node[:4] = feature, threshold, len(nodes), -1
-        node[6] = gain
-        grow(idx[goes_left], ids, xs, to_left, depth + 1)
-        node[3] = len(nodes)
-        grow(idx[~goes_left], ids, xs, ~to_left, depth + 1)
+    classify = n_classes is not None
+    subsets = _FeatureSubsets(rng, p, mtry) if mtry is not None and mtry < p else None
+    every = np.arange(p)
+    # Split positions by node size m: sorted positions lo..hi-1 leave
+    # min_leaf samples per side, and position i sends i + 1 samples RIGHT.
+    spans: dict[int, tuple] = {}
 
     # A stable sort orders value ties by sample id; a node keeps the entries
     # of its parent's order that it owns, which is its own stable sort.
     Xt = np.ascontiguousarray(X.T)
     order = np.argsort(Xt, axis=1, kind="stable")
-    xs = np.take_along_axis(Xt, order, axis=1)
-    grow(np.arange(n), order, xs, np.ones_like(order, dtype=bool), 0)
+    if classify:
+        onehot = np.eye(n_classes, dtype=np.intp)[y]
+        stat = np.bincount(y, minlength=n_classes)
+    else:
+        stat = np.arange(n)
+    nodes: list[list] = []  # [feature, threshold, left, right, value, count, gain]
+    # A pending node: its parent's per-feature sorted ids (p, parent size)
+    # and the mask of those it owns (None at the root), its class counts
+    # (classification) or ascending rows (regression), its size, its depth
+    # and, for a right child, its parent's node id.
+    stack = [(order, None, stat, n, 0, -1)]
+    while stack:
+        ids, keep, stat, m, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        node = [-1, 0.0, -1, -1, inner_value, m, 0.0]
+        nodes.append(node)
+        if not classify:
+            yn = y[stat]
+        searched = (max_depth is None or depth < max_depth) and m >= 2 * min_leaf
+        if classify:
+            searched = searched and np.count_nonzero(stat) > 1
+        else:
+            searched = searched and np.minimum.reduce(yn) < np.maximum.reduce(yn)
+        k = 0
+        if searched:
+            if keep is not None:
+                ids = ids[keep].reshape(p, -1)
+            if m not in spans:
+                n_right = np.arange(min_leaf, m - min_leaf + 1, dtype=float)
+                spans[m] = min_leaf - 1, m - min_leaf, n_right, m - n_right
+            lo, hi, n_right, n_left = spans[m]
+            # Summed in ascending sample order, so the rounding never changes.
+            if classify:
+                sq_total = stat @ stat
+                parent_loss = m - sq_total / m
+            else:
+                parent_loss = np.add.reduce(yn * yn) - np.add.reduce(yn) ** 2 / m
+            features = every if subsets is None else subsets.draw()
+            while True:
+                sub = ids if features is every else ids[features]
+                xs = Xt[features[:, None], sub]
+                if classify:
+                    # Integer counts keep every sum of squares exact.
+                    cum = np.add.accumulate(onehot[sub], axis=1)
+                    right = cum[:, lo:hi]
+                    sq_right = np.einsum("fmc,fmc->fm", right, right)
+                    # The left counts are stat - right: expand the square.
+                    sq_left = sq_right - 2 * (right @ stat) + sq_total
+                    gini_right = n_right - sq_right / n_right
+                    gain = parent_loss - ((n_left - sq_left / n_left) + gini_right)
+                else:
+                    ys = y[sub]
+                    csum = np.add.accumulate(ys, axis=1)
+                    csq = np.add.accumulate(ys * ys, axis=1)
+                    rsum, rsq = csum[:, lo:hi], csq[:, lo:hi]
+                    sse_right = rsq - rsum**2 / n_right
+                    sse_left = (csq[:, -1:] - rsq) - (csum[:, -1:] - rsum) ** 2 / n_left
+                    gain = parent_loss - (sse_left + sse_right)
+                # Exact ties go to the first maximum in row-major order:
+                # the lowest feature, then the lowest threshold.
+                gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+                best = int(gain.argmax())
+                top = gain.flat[best]
+                if top >= 0 or features is every:
+                    break
+                features = every  # the subset has no split: search them all
+            row, pos = divmod(best, hi - lo)
+            if top >= 0:
+                a, b = xs[row, lo + pos], xs[row, lo + pos + 1]
+                threshold = (a + b) / 2.0
+                k = lo + pos + 1  # the first k samples by this feature go RIGHT
+                if not a <= threshold < b:  # the midpoint rounded onto b, or a + b overflowed
+                    k = int(np.searchsorted(xs[row], threshold, side="right"))
+        if not 0 < k < m:
+            node[4] = stat if classify else float(np.add.reduce(yn) / m)
+            continue
+
+        feature = int(features[row])
+        to_left = Xt[feature, ids] > threshold
+        node[:4] = feature, float(threshold), len(nodes), -1
+        node[6] = float(top)
+        if classify:
+            right_stat = cum[row, k - 1].copy()
+            left_stat = stat - right_stat
+        else:
+            goes_left = Xt[feature, stat] > threshold
+            left_stat, right_stat = stat[goes_left], stat[~goes_left]
+        stack.append((ids, ~to_left, right_stat, k, depth + 1, len(nodes) - 1))
+        stack.append((ids, to_left, left_stat, m - k, depth + 1, -1))
+    if subsets is not None:
+        subsets.rewind()
     feature, threshold, left, right, value, count, gain = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.intp),

@@ -4,7 +4,9 @@ with literal nested-if transcriptions serving as independent oracles.
 Feature order: 0 = distance_a, 1 = distance_b, 2 = distance_c.  The tree
 encoding routes left on value > threshold; the oracles are written as
 plain conditionals so they cannot share a traversal bug with eval_tree.
-A brute-force split search serves the same role for fit_tree.
+A brute-force split search serves the same role for fit_tree's split
+choice, and :func:`reference_fit_tree` -- the recursive grower fit_tree
+replaced -- for whole trees, down to the generator's draws.
 """
 
 from collections import Counter
@@ -202,3 +204,125 @@ def brute_force_split(X, y, *, task: str, min_leaf: int, features):
             else:
                 runner_up = max(runner_up, gain)
     return best, runner_up
+
+
+def _reference_best_split(xs, ys, parent, min_leaf, n_classes):
+    """Best (gain, row, threshold) over a block of candidate features, or None.
+
+    Row r of ``xs`` holds one feature's values over the node's samples in
+    ascending order and row r of ``ys`` their targets.  Splitting between
+    sorted positions i and i+1 sends the first i+1 samples (values <=
+    threshold) RIGHT and the rest LEFT.  Exact gain ties resolve to the
+    lowest row, then the lowest threshold: the first maximum in row-major
+    order.  A best gain below zero yields None.
+    """
+    m = xs.shape[1]
+    lo, hi = min_leaf - 1, m - min_leaf  # positions leaving min_leaf samples per side
+    n_right = np.arange(lo + 1, hi + 1, dtype=float)
+    n_left = m - n_right
+    if n_classes is None:
+        csum = ys.cumsum(axis=1)
+        csq = (ys * ys).cumsum(axis=1)
+        sse_right = csq[:, lo:hi] - csum[:, lo:hi] ** 2 / n_right
+        sse_left = (csq[:, -1:] - csq[:, lo:hi]) - (csum[:, -1:] - csum[:, lo:hi]) ** 2 / n_left
+        gain = parent - (sse_left + sse_right)
+    else:
+        # Integer counts keep every sum of squares exact.
+        cum = (ys[:, :, None] == np.arange(n_classes)).cumsum(axis=1)
+        right_counts = cum[:, lo:hi]
+        left_counts = cum[:, -1:] - right_counts
+        gini_right = n_right - (right_counts**2).sum(axis=2) / n_right
+        gini_left = n_left - (left_counts**2).sum(axis=2) / n_left
+        gain = parent - (gini_left + gini_right)
+    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+    row, pos = divmod(int(gain.argmax()), hi - lo)
+    if not gain[row, pos] >= 0:
+        return None
+    threshold = (xs[row, lo + pos] + xs[row, lo + pos + 1]) / 2.0
+    return float(gain[row, pos]), row, float(threshold)
+
+
+def reference_fit_tree(
+    X, y, *, task="regression", max_depth=None, min_leaf=1, n_classes=None, mtry=None, rng=None
+) -> Tree:
+    """fit_tree's recursive grower, kept as an oracle for its results.
+
+    It recurses into each child, recomputes every node's targets and
+    class counts from its rows, and draws each searched node's feature
+    subset with its own sorted ``rng.choice``.  Inputs are assumed valid.
+    """
+    X = np.asarray(X, dtype=float)
+    if task == "classification":
+        y = np.asarray(y).astype(int)
+        inner_value = np.zeros(n_classes, dtype=np.intp)
+    else:
+        y = np.asarray(y).astype(float)
+        n_classes = None
+        inner_value = 0.0
+    n, p = X.shape
+    nodes: list[list] = []  # [feature, threshold, left, right, value, count, gain]
+
+    def grow(idx, ids, xs, keep, depth: int) -> None:
+        """Append the subtree over samples ``idx`` (ascending) in preorder.
+
+        Row f of ``ids[keep].reshape(p, -1)`` lists the same samples by
+        ascending feature f, value ties by sample id, and ``xs`` holds
+        their values likewise.  Only a node that is searched gathers them.
+        """
+        yn = y[idx]
+        node = [-1, 0.0, -1, -1, inner_value, len(idx), 0.0]
+        nodes.append(node)
+        best = None
+        if (
+            (max_depth is None or depth < max_depth)
+            and len(idx) >= 2 * min_leaf
+            and yn.min() < yn.max()
+        ):
+            ids, xs = ids[keep].reshape(p, -1), xs[keep].reshape(p, -1)
+            # Summed in ascending sample order, so the rounding never changes.
+            if n_classes is None:
+                parent = float((yn * yn).sum() - yn.sum() ** 2 / len(yn))
+            else:
+                counts = np.bincount(yn, minlength=n_classes)
+                parent = float(len(yn) - (counts * counts).sum() / len(yn))
+            if mtry is not None and mtry < p:
+                features = np.sort(rng.choice(p, size=mtry, replace=False))
+                best = _reference_best_split(
+                    xs[features], y[ids[features]], parent, min_leaf, n_classes
+                )
+            if best is None:
+                features = np.arange(p)
+                best = _reference_best_split(xs, y[ids], parent, min_leaf, n_classes)
+        if best is None:
+            if n_classes is None:
+                node[4] = float(yn.mean())
+            else:
+                node[4] = np.bincount(yn, minlength=n_classes)
+            return
+
+        gain, row, threshold = best
+        feature = int(features[row])
+        goes_left = Xt[feature, idx] > threshold
+        to_left = Xt[feature, ids] > threshold
+        node[:4] = feature, threshold, len(nodes), -1
+        node[6] = gain
+        grow(idx[goes_left], ids, xs, to_left, depth + 1)
+        node[3] = len(nodes)
+        grow(idx[~goes_left], ids, xs, ~to_left, depth + 1)
+
+    # A stable sort orders value ties by sample id; a node keeps the entries
+    # of its parent's order that it owns, which is its own stable sort.
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
+    xs = np.take_along_axis(Xt, order, axis=1)
+    grow(np.arange(n), order, xs, np.ones_like(order, dtype=bool), 0)
+    feature, threshold, left, right, value, count, gain = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value),
+        count=np.array(count, dtype=np.intp),
+        gain=np.array(gain, dtype=float),
+    )

@@ -5,6 +5,8 @@ import locbench.learners
 from locbench.data import ZONES, ValidationError
 from locbench.learners import (
     FAMILIES,
+    MAX_LAYER_WIDTH,
+    MAX_TREES,
     FeatureMatrix,
     LearnerSpec,
     fit_classifier,
@@ -98,6 +100,10 @@ class TestLearnerSpec:
             ("knn", {"k": True}),
             ("gbt", {"trees": 3.0}),
             ("ann", {"layers": (2.5,)}),
+            ("random_forest", {"trees": MAX_TREES + 1}),
+            ("gbt", {"trees": MAX_TREES + 1}),
+            ("ann", {"layers": (MAX_LAYER_WIDTH + 1,)}),
+            ("deep_learning", {"layers": (50, MAX_LAYER_WIDTH + 1)}),
             ("svr", {"c": float("inf")}),
             ("svr", {"epsilon": float("inf")}),
             ("svr", {"gamma": float("inf")}),
@@ -125,6 +131,17 @@ class TestLearnerSpec:
         assert (spec.family, spec.seed, spec.resolved()["k"]) == ("knn", 9, 1)
         spec = LearnerSpec.from_text("family=ann layers=15,5")
         assert spec.resolved()["layers"] == (15, 5)
+
+    def test_from_text_shares_the_size_limits(self):
+        spec = LearnerSpec.from_text(
+            f"family=deep_learning layers={MAX_LAYER_WIDTH},{MAX_LAYER_WIDTH}"
+        )
+        assert spec.resolved()["layers"] == (MAX_LAYER_WIDTH, MAX_LAYER_WIDTH)
+        assert LearnerSpec.from_text(f"family=gbt trees={MAX_TREES}").resolved()["trees"] == MAX_TREES
+        with pytest.raises(ValidationError, match=rf"trees must be an integer from 1 to {MAX_TREES}"):
+            LearnerSpec.from_text(f"family=random_forest trees={MAX_TREES + 1}")
+        with pytest.raises(ValidationError, match=rf"from 1 to {MAX_LAYER_WIDTH}, got \(3, {MAX_LAYER_WIDTH + 1}\)"):
+            LearnerSpec.from_text(f"family=ann layers=3,{MAX_LAYER_WIDTH + 1}")
 
     def test_from_text_requires_family(self):
         with pytest.raises(ValidationError, match="family"):

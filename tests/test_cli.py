@@ -18,6 +18,7 @@ from locbench.data import (
     synthetic_walk_dataset,
     write_csv,
 )
+from locbench.learners import MAX_LAYER_WIDTH, MAX_TREES, PARAMS
 
 
 def run(args):
@@ -473,6 +474,39 @@ class TestBadArguments:
         out = tmp_path / "s.csv"
         assert run(["synth", "--rows", str(limit + excess), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --rows must be <= {limit}, got {limit + excess}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["zone-imu", "--trees", "{trees}"], "trees", "{trees}"),
+            (["coords", "--model", "gbt", "--trees", "{trees}"], "trees", "{trees}"),
+            (["coords", "--model", "ann", "--layers", "{width}"], "layers", "({width},)"),
+            (
+                ["zone-rssi", "--model", "deep_learning", "--layers", "50,{width}"],
+                "layers",
+                "(50, {width})",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("excess", [1, 10**13])
+    def test_learner_sizes_above_the_limit_exit_one(
+        self, argv, key, value, excess, tmp_path, capsys, monkeypatch
+    ):
+        # Refused before the data is read: no parser, pipeline or fit may run.
+        for name in ("parse_beacon_csv", "parse_imu_csv", "parse_rssi_csv"):
+            monkeypatch.setattr(cli, name, None)
+        for name in ("run_coords", "run_zone_imu", "run_zone_rssi"):
+            monkeypatch.setattr(cli, name, None)
+        sizes = {"trees": MAX_TREES + excess, "width": MAX_LAYER_WIDTH + excess}
+        argv = [part.format(**sizes) for part in argv]
+        out = tmp_path / "out"
+        data = tmp_path / "missing.csv"
+        assert run(argv + ["--data", str(data), "--out-dir", str(out)]) == 1
+        family = argv[argv.index("--model") + 1] if "--model" in argv else "random_forest"
+        rule = PARAMS[key].rule
+        got = value.format(**sizes)
+        assert capsys.readouterr().err == f"error: {family}: {key} must be {rule}, got {got}\n"
         assert not out.exists()
 
     def test_negative_synth_seed_exit_one(self, tmp_path, capsys):

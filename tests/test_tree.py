@@ -3,14 +3,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import locbench.learners.tree
 from locbench.data import ValidationError
-from locbench.learners import eval_tree, fit_tree, tree_apply, tree_depth, tree_predict
+from locbench.learners import (
+    eval_tree,
+    fit_forest,
+    fit_tree,
+    tree_apply,
+    tree_depth,
+    tree_predict,
+)
+from locbench.learners.tree import _FeatureSubsets
 from reference_trees import (
     X_TREE_THRESHOLDS,
     Y_TREE_THRESHOLDS,
     brute_force_split,
     crossing_grid,
     leaf,
+    reference_fit_tree,
     x_coordinate_oracle,
     x_coordinate_tree,
     y_coordinate_oracle,
@@ -253,3 +263,159 @@ class TestFitTreeAgainstBruteForce:
                     continue
             matched.append(best)
         assert matched, (root.feature[0], root.threshold[0], fitted_gain)
+
+
+class TestFitTreeValidation:
+    def test_label_above_the_classes_rejected(self):
+        with pytest.raises(ValidationError, match="class labels"):
+            fit_tree(np.zeros((3, 1)), [0, 5, 1], task="classification", n_classes=3)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValidationError, match="class labels"):
+            fit_tree(np.zeros((3, 1)), [0, -1, 1], task="classification", n_classes=3)
+
+    def test_zero_mtry_rejected(self):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValidationError, match="mtry"):
+            fit_forest(X, np.arange(6.0), n_trees=2, mtry=0)
+
+    def test_zero_min_leaf_rejected(self):
+        with pytest.raises(ValidationError, match="min_leaf"):
+            fit_tree(np.arange(4.0).reshape(4, 1), np.arange(4.0), min_leaf=0)
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_tree(np.arange(4.0).reshape(4, 1), [0.0, np.nan, 1.0, 2.0])
+
+    def test_mtry_of_p_or_more_searches_every_feature(self):
+        X = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
+        y = np.array([0.0, 0.0, 9.0, 9.0])
+        plain = fit_tree(X, y)
+        for mtry in (2, 5):
+            rng = np.random.default_rng(0)
+            assert_same_tree(fit_tree(X, y, mtry=mtry, rng=rng), plain)
+            assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_midpoint_rounded_onto_the_upper_value(task):
+    # Between these adjacent doubles the midpoint rounds up onto the upper
+    # one, so a split there sends both values RIGHT.  Node counts and leaf
+    # payloads follow the rows each node really holds, and a split that
+    # would leave a side empty is not made.
+    a = 1.0 + 2.0**-52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a], [b], [5.0]])
+    kwargs = {"n_classes": 2} if task == "classification" else {}
+    tree = fit_tree(X, np.array([0, 1, 1]), task=task, **kwargs)
+    assert tree.count.tolist() == [3, 1, 2]
+    assert tree_apply(tree, X).tolist() == [2, 2, 1]
+    expected = [[0, 0], [0, 1], [1, 1]] if task == "classification" else [0.0, 1.0, 0.5]
+    assert tree.value.tolist() == expected
+
+
+def assert_same_tree(fitted, expected) -> None:
+    for name in ("feature", "threshold", "left", "right", "value", "count", "gain"):
+        got, want = getattr(fitted, name), getattr(expected, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestFitTreeAgainstReferenceGrower:
+    """fit_tree grows the recursive grower's trees, array for array, and
+    leaves the generator in the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        task=st.sampled_from(["regression", "classification"]),
+        n=st.integers(min_value=1, max_value=40),
+        p=st.integers(min_value=1, max_value=5),
+        min_leaf=st.sampled_from([1, 2, 3]),
+        max_depth=st.sampled_from([None, 0, 1, 2, 3, 4]),
+        repeats=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_trees_and_generator_match(
+        self, data, task, n, p, min_leaf, max_depth, repeats, seed
+    ):
+        assume(n >= min_leaf)
+        values = np.random.default_rng(seed).normal(size=(n, p))
+        # Repeat-heavy values: a few half-units, so most sorted neighbours tie.
+        X = np.round(values) / 2.0 if repeats else values
+        if task == "classification":
+            n_classes = data.draw(st.integers(min_value=1, max_value=4))
+            y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+            kwargs = {"n_classes": n_classes}
+        else:
+            targets = st.integers(-4, 4) if repeats else st.floats(-100, 100)
+            y = np.array(data.draw(st.lists(targets, min_size=n, max_size=n)), dtype=float)
+            kwargs = {}
+        mtry = data.draw(st.none() | st.integers(min_value=1, max_value=p))
+        fit_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kwargs.update(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
+        fitted = fit_tree(X, y, rng=fit_rng if mtry else None, **kwargs)
+        expected = reference_fit_tree(X, y, rng=reference_rng if mtry else None, **kwargs)
+        assert_same_tree(fitted, expected)
+        assert fit_rng.integers(0, 2**62) == reference_rng.integers(0, 2**62)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_zero_gain_subset_split_is_kept(self, task):
+        # Feature 0's only split leaves both children like the parent: gain
+        # exactly 0, which is kept rather than falling back to feature 1.
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        y = np.array([0, 1, 0, 1])
+        kwargs = {"n_classes": 2} if task == "classification" else {}
+        assert np.random.default_rng(1).choice(2, size=1, replace=False)[0] == 0
+        fitted = fit_tree(X, y, task=task, max_depth=1, mtry=1, rng=np.random.default_rng(1), **kwargs)
+        expected = reference_fit_tree(
+            X, y, task=task, max_depth=1, mtry=1, rng=np.random.default_rng(1), **kwargs
+        )
+        assert_same_tree(fitted, expected)
+        assert (fitted.feature[0], fitted.gain[0]) == (0, 0.0)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_small_forest_matches(self, task, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(120, 6)) * 2.0) / 2.0
+        y = rng.integers(0, 3, size=120)
+        kwargs = {"n_classes": 3} if task == "classification" else {}
+        fitted = fit_forest(X, y, task=task, n_trees=6, max_depth=6, seed=5, **kwargs)
+        # The forest imports fit_tree when called, so it picks up the oracle.
+        monkeypatch.setattr(locbench.learners.tree, "fit_tree", reference_fit_tree)
+        expected = fit_forest(X, y, task=task, n_trees=6, max_depth=6, seed=5, **kwargs)
+        for got, want in zip(fitted.trees, expected.trees, strict=True):
+            assert_same_tree(got, want)
+
+
+class TestFeatureSubsets:
+    """Block draws equal successive sorted ``rng.choice`` subsets, and the
+    rewind leaves the stream where those calls would."""
+
+    @staticmethod
+    def check(p, mtry, count, seed=3):
+        reference, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+        subsets = _FeatureSubsets(blocked, p, mtry)
+        for _ in range(count):
+            expected = np.sort(reference.choice(p, size=mtry, replace=False))
+            assert subsets.draw().tolist() == expected.tolist()
+        subsets.rewind()
+        assert blocked.integers(0, 2**62) == reference.integers(0, 2**62)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_every_subset_size(self, p):
+        for mtry in range(1, p + 1):
+            for count in (0, 1, 64, 150):
+                self.check(p, mtry, count, seed=p * 100 + mtry)
+
+    @pytest.mark.parametrize(
+        "p, mtry",
+        [
+            (10_000, 201),  # Floyd's algorithm at the largest p drawn in blocks
+            (10_001, 200),  # Floyd's algorithm, one subset at a time
+            (10_001, 201),  # numpy's partial shuffle
+        ],
+    )
+    def test_large_feature_counts(self, p, mtry):
+        self.check(p, mtry, 70)
