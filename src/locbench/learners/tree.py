@@ -288,11 +288,10 @@ def fit_tree(
                 n_right = np.arange(min_leaf, m - min_leaf + 1, dtype=float)
                 spans[m] = min_leaf - 1, m - min_leaf, n_right, m - n_right
             lo, hi, n_right, n_left = spans[m]
-            # Summed in ascending sample order, so the rounding never changes.
             if classify:
                 sq_total = stat @ stat
                 parent_loss = m - sq_total / m
-            else:
+            else:  # summed in ascending sample order, so the rounding never changes
                 parent_loss = np.add.reduce(yn * yn) - np.add.reduce(yn) ** 2 / m
             features = every if subsets is None else subsets.draw()
             while True:
@@ -339,7 +338,7 @@ def fit_tree(
         node[:4] = feature, float(threshold), len(nodes), -1
         node[6] = float(top)
         if classify:
-            right_stat = cum[row, k - 1].copy()
+            right_stat = cum[row, k - 1].copy()  # a view would keep all of cum alive
             left_stat = stat - right_stat
         else:
             goes_left = Xt[feature, stat] > threshold
