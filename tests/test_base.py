@@ -137,10 +137,13 @@ class TestLearnerSpec:
             f"family=deep_learning layers={MAX_LAYER_WIDTH},{MAX_LAYER_WIDTH}"
         )
         assert spec.resolved()["layers"] == (MAX_LAYER_WIDTH, MAX_LAYER_WIDTH)
-        assert LearnerSpec.from_text(f"family=gbt trees={MAX_TREES}").resolved()["trees"] == MAX_TREES
-        with pytest.raises(ValidationError, match=rf"trees must be an integer from 1 to {MAX_TREES}"):
+        spec = LearnerSpec.from_text(f"family=gbt trees={MAX_TREES}")
+        assert spec.resolved()["trees"] == MAX_TREES
+        rule = rf"trees must be an integer from 1 to {MAX_TREES}"
+        with pytest.raises(ValidationError, match=rule):
             LearnerSpec.from_text(f"family=random_forest trees={MAX_TREES + 1}")
-        with pytest.raises(ValidationError, match=rf"from 1 to {MAX_LAYER_WIDTH}, got \(3, {MAX_LAYER_WIDTH + 1}\)"):
+        rule = rf"from 1 to {MAX_LAYER_WIDTH}, got \(3, {MAX_LAYER_WIDTH + 1}\)"
+        with pytest.raises(ValidationError, match=rule):
             LearnerSpec.from_text(f"family=ann layers=3,{MAX_LAYER_WIDTH + 1}")
 
     def test_from_text_requires_family(self):

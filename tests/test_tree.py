@@ -346,7 +346,8 @@ class TestFitTreeAgainstReferenceGrower:
         X = np.round(values) / 2.0 if repeats else values
         if task == "classification":
             n_classes = data.draw(st.integers(min_value=1, max_value=4))
-            y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+            labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+            y = np.array(data.draw(labels))
             kwargs = {"n_classes": n_classes}
         else:
             targets = st.integers(-4, 4) if repeats else st.floats(-100, 100)
@@ -368,10 +369,9 @@ class TestFitTreeAgainstReferenceGrower:
         y = np.array([0, 1, 0, 1])
         kwargs = {"n_classes": 2} if task == "classification" else {}
         assert np.random.default_rng(1).choice(2, size=1, replace=False)[0] == 0
-        fitted = fit_tree(X, y, task=task, max_depth=1, mtry=1, rng=np.random.default_rng(1), **kwargs)
-        expected = reference_fit_tree(
-            X, y, task=task, max_depth=1, mtry=1, rng=np.random.default_rng(1), **kwargs
-        )
+        kwargs.update(task=task, max_depth=1, mtry=1)
+        fitted = fit_tree(X, y, rng=np.random.default_rng(1), **kwargs)
+        expected = reference_fit_tree(X, y, rng=np.random.default_rng(1), **kwargs)
         assert_same_tree(fitted, expected)
         assert (fitted.feature[0], fitted.gain[0]) == (0, 0.0)
 
