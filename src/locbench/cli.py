@@ -407,6 +407,19 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+#: Each subcommand's handler.  The handlers look up ``parse_*_csv`` and
+#: ``run_*`` as module globals when they run, so those names can be wrapped.
+_COMMANDS = {
+    "zone-rssi": lambda args: _cmd_zone(args, "rssi"),
+    "zone-imu": lambda args: _cmd_zone(args, "imu"),
+    "coords": _cmd_coords,
+    "compare": _cmd_compare,
+    "validate-activities": _cmd_validate_activities,
+    "synth": _cmd_synth,
+    "metrics": _cmd_metrics,
+}
+
+
 def run_cli(argv=None) -> int:
     """Parse argv and run one subcommand, mapping failures to exit codes."""
     parser = build_parser()
@@ -414,25 +427,8 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
         if "out_dir" in vars(args):
             _check_out_dir(_resolve_out_dir(args))
-        if args.command == "zone-rssi":
-            return _cmd_zone(args, "rssi")
-        if args.command == "zone-imu":
-            return _cmd_zone(args, "imu")
-        if args.command == "coords":
-            return _cmd_coords(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "validate-activities":
-            return _cmd_validate_activities(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        raise CliUsageError(f"unknown command {args.command!r}")
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, ParseError, ValidationError) as exc:
+        return _COMMANDS[args.command](args)
+    except (CliUsageError, SchemaError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -24,7 +24,8 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -243,44 +244,51 @@ def _normalize_column(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.strip().lower()).strip("_")
 
 
-#: Bytes that leave a file to the row walker: the separators 0x1C-0x1F,
-#: which numpy strips around a number and ``float`` does not.
-_WALKER_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: Bytes that select the cast: numpy's float reader strips them around a number; float() does not.
+_CAST_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _read_columns(data: bytes, schema: Schema, columns: Mapping[str, int], cols):
-    """numpy's C reader, one pass over the records after the header: (values, cells) or None.
+def _read_columns(data: bytes, skip: int, schema: Schema, columns: Mapping[str, int], cols):
+    """numpy's C reader after the ``skip`` header lines: (values, cells), or None for the walker.
 
-    None leaves the file to ``_checked_rows``: a byte of ``_WALKER_BYTES``,
-    a cell numpy cannot read, a value or zone that fails the whole-column
-    checks, or a field that csv's reader refuses (numpy has no field limit).
+    Numbers are read as floats, or, if that fails or the file holds a byte
+    of ``_CAST_BYTES``, as text cast by ``float``'s rules.  None: a cell the
+    cast refuses, a bad row, a failed column check or a field over csv's limit.
     """
-    if any(map(data.__contains__, _WALKER_BYTES)):
-        return None
     # With its line end kept, a quoted line break joins the next line into the cell.
     lines = data.splitlines(keepends=True)
     usecols = [columns[name] for name in schema.numeric + tuple(col.name for col in cols)]
-    dtype = [("values", float, (len(schema.numeric),)), ("cells", object, (len(cols),))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-            table = np.loadtxt(
-                lines, dtype, comments=None, delimiter=",", quotechar='"', skiprows=1,
-                usecols=usecols, ndmin=1, encoding="utf-8"
-            )
-    except ValueError:
-        return None
+
+    def load(kind):
+        dtype = [("values", kind, (len(schema.numeric),)), ("cells", object, (len(cols),))]
+        table = np.loadtxt(
+            lines, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip,
+            usecols=usecols, ndmin=1, encoding="utf-8"
+        )
+        return table["values"].astype(float, copy=False), table["cells"]
+
+    kinds = (object,) if any(map(data.__contains__, _CAST_BYTES)) else (float, object)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+        for kind in kinds:
+            try:
+                values, cells = load(kind)
+                break
+            except ValueError:
+                continue
+        else:
+            return None
     # Only a quoted cell joins lines: then numpy returns fewer rows than non-blank lines.
-    blank = (b"\n", b"\r\n", b"\r")
-    joined = b'"' in data and len(table) < len(lines) - 1 - sum(map(lines.count, blank))
+    rows = lambda part: len(part) - sum(map(part.count, (b"\n", b"\r\n", b"\r")))
+    joined = b'"' in data and len(values) < rows(lines) - rows(lines[:skip])
     if joined or max(map(len, lines)) > csv.field_size_limit():
         # A field may be over csv's limit, which numpy does not know: csv's reader must take it.
         try:
-            if sum(map(bool, _records(data))) != len(table) + 1:
+            if sum(map(bool, _records(data))) != len(values) + 1:
                 return None
         except csv.Error:
             return None
-    return _checked_columns(schema, cols, table["values"], table["cells"].T.tolist())
+    return _checked_columns(schema, cols, values, cells.T.tolist())
 
 
 def _checked_columns(schema: Schema, cols, values: np.ndarray, cells: list):
@@ -303,69 +311,61 @@ def _records(data: bytes):
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
-def _checked_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) -> tuple:
-    """Walk the rows after the header one by one; the first fault raises, else (values, cells).
+def _checked_rows(path, records, schema: Schema, columns: Mapping[str, int], cols) -> NoReturn:
+    """Raise the first fault of the rows after the header, in file order; build nothing.
 
     ``records`` is the ``csv.reader`` that read the header; its line count
-    names the line on which each record starts.
+    names the line on which each record starts.  A walk without a fault
+    means numpy's and csv's readers disagree on the file: that raises too.
     """
-    rows, cells = [], [[] for _ in cols]
+    checks = [(name, partial(_check_number, schema, name)) for name in schema.numeric]
+    checks += [(col.name, col.read) for col in cols]
     start = records.line_num + 1
     try:
         for record in records:
             line_no, start = start, records.line_num + 1
             if not record:
                 continue
-            rows.append([_float_cell(record, columns, schema, n, line_no) for n in schema.numeric])
-            for col, column in zip(cols, cells):
-                cell = _cell(record, columns, col.name, line_no)
+            for name, check in checks:
+                if columns[name] >= len(record):
+                    raise ParseError(f"row {line_no}: missing value for column {name!r}")
                 try:
-                    column.append(col.read(cell))
-                except ParseError as exc:
-                    raise ParseError(f"row {line_no}: {exc}") from None
+                    check(record[columns[name]])
+                except (ParseError, ValidationError) as exc:
+                    raise type(exc)(f"row {line_no}: {exc}") from None
     except csv.Error as exc:  # named, as every fault, by the line its record starts on
         raise ParseError(f"{path}: row {start}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(-1, len(schema.numeric)), cells
+    raise ParseError(f"{path}: numpy's reader refused the file, but no row has a fault")
 
 
-def _cell(record: list[str], columns: Mapping[str, int], name: str, row: int) -> str:
-    idx = columns[name]
-    if idx >= len(record):
-        raise ParseError(f"row {row}: missing value for column {name!r}")
-    return record[idx]
-
-
-def _float_cell(record: list[str], columns, schema: Schema, name: str, row: int) -> float:
-    text = _cell(record, columns, name, row)
+def _check_number(schema: Schema, name: str, text: str) -> None:
+    """Raise the fault of one numeric cell: non-numeric, non-finite, then out of range."""
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"row {row}: non-numeric value {text!r} in column {name!r}") from None
+        raise ParseError(f"non-numeric value {text!r} in column {name!r}") from None
     if not math.isfinite(value):
-        raise ParseError(f"row {row}: non-finite value {text!r} in column {name!r}")
+        raise ParseError(f"non-finite value {text!r} in column {name!r}")
     if name in schema.ranged and not (schema.low <= value <= schema.high):
         message = schema.range_error.format(
             value=value, name=schema.ranged[name], low=schema.low, high=schema.high
         )
-        raise ValidationError(f"row {row}: {message}")
-    return value
+        raise ValidationError(message)
 
 
 def parse_csv(path, schema_tag: str) -> Dataset:
     """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
-    The file must be UTF-8.  numpy's C reader parses it by column, quoted
-    cells too, and each column is checked whole.  A file it cannot take (a
-    header across lines, a byte of ``_WALKER_BYTES``, a cell only ``float``
-    reads, a field over csv's limit), or that fails a check, goes to the
-    row walker: ``csv.reader`` reads it row by row in file order, each
-    number by ``float``, and the first faulty row raises, whatever kind of
-    fault (a csv syntax fault too) it holds.  Within a row the columns are
-    checked in schema order (numeric, text, then the optional columns the
-    header has); a numeric cell fails as missing, non-numeric, non-finite,
-    then out of range, a text cell as missing, then as an unknown zone.
-    Blank lines are skipped.  A row is named by the file line on which its
-    record starts.
+    The file must be UTF-8.  numpy's C reader builds every table by column,
+    quoted cells and a header across lines too, reads each number by
+    ``float``'s rules and checks each column whole.  A file it refuses
+    goes to the row walker, which only names the fault: the first faulty
+    row in file order raises, whatever kind of fault (a csv syntax fault
+    too) it holds.  Within a row the columns are checked in schema order
+    (numeric, text, then the optional columns the header has); a numeric
+    cell fails as missing, non-numeric, non-finite, then out of range, a
+    text cell as missing, then as an unknown zone.  Blank lines are
+    skipped.  A row is named by the file line on which its record starts.
     """
     schema = _schema(schema_tag)
     with open(path, "rb") as handle:
@@ -387,7 +387,7 @@ def parse_csv(path, schema_tag: str) -> Dataset:
     if missing:
         raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
     cols = schema.text + tuple(col for col in schema.optional if col.name in columns)
-    table = _read_columns(data, schema, columns, cols) if records.line_num == 1 else None
+    table = _read_columns(data, records.line_num, schema, columns, cols)
     values, cells = table or _checked_rows(path, records, schema, columns, cols)
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     zero_rows = int(np.count_nonzero((ranged == 0.0).any(axis=1)))

@@ -112,27 +112,30 @@ def fit_svr(
             g[-1] = -C * s.sum()
             return g
 
-    current = objective(theta)
-    trajectory = [current]
-    step = 1.0
-    for _ in range(max_iter):
-        g = subgradient(theta)
-        accepted = False
-        trial_step = step
-        for _ in range(_MAX_HALVINGS):
-            candidate = theta - trial_step * g
-            value = objective(candidate)
-            if not np.isfinite(value):
-                raise TrainingDivergedError("svr objective became non-finite")
-            if value <= current:
-                theta, current = candidate, value
-                step = trial_step * _STEP_GROW
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            step = trial_step  # keep shrinking on the next iteration
-        trajectory.append(current)
+    # Overflow here is the divergence signal, not an error: a non-finite
+    # objective raises TrainingDivergedError below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = objective(theta)
+        trajectory = [current]
+        step = 1.0
+        for _ in range(max_iter):
+            g = subgradient(theta)
+            accepted = False
+            trial_step = step
+            for _ in range(_MAX_HALVINGS):
+                candidate = theta - trial_step * g
+                value = objective(candidate)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError("svr objective became non-finite")
+                if value <= current:
+                    theta, current = candidate, value
+                    step = trial_step * _STEP_GROW
+                    accepted = True
+                    break
+                trial_step *= 0.5
+            if not accepted:
+                step = trial_step  # keep shrinking on the next iteration
+            trajectory.append(current)
 
     if kernel == "rbf":
         return SvrModel(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from locbench.cli import run_cli
 from locbench.data import ValidationError
-from locbench.learners import fit_svr, predict_svr, standardize
+from locbench.learners import TrainingDivergedError, fit_svr, predict_svr, standardize
 
 
 def assert_non_increasing(values):
@@ -94,3 +95,22 @@ class TestSvrValidation:
             fit_svr(np.zeros((21, 2)), np.zeros(21), max_iter=1)
         # The linear kernel keeps no n x n matrix and has no limit.
         fit_svr(np.zeros((21, 2)), np.zeros(21), kernel="linear", max_iter=1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSvrDivergence:
+    """A huge C overflows the optimizer: that is divergence, with no numpy warning."""
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_huge_c_raises_divergence(self, kernel):
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(50, 3)), rng.normal(size=50) * 100.0
+        with pytest.raises(TrainingDivergedError, match="svr objective became non-finite"):
+            fit_svr(X, y, C=1e308, kernel=kernel)
+
+    def test_cli_prints_only_the_divergence_line(self, tmp_path, capsys):
+        data = tmp_path / "beacons.csv"
+        assert run_cli(["synth", "--rows", "200", "--out", str(data)]) == 0
+        argv = ["coords", "--data", str(data), "--model", "svr", "--c", "1e308"]
+        assert run_cli(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "training diverged: svr objective became non-finite\n"
