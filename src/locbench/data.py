@@ -251,9 +251,9 @@ _CAST_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _read_columns(data: bytes, skip: int, schema: Schema, columns: Mapping[str, int], cols):
     """numpy's C reader after the ``skip`` header lines: (values, cells), or None for the walker.
 
-    Numbers are read as floats, or, if that fails or the file holds a byte
-    of ``_CAST_BYTES``, as text cast by ``float``'s rules.  None: a cell the
-    cast refuses, a bad row, a failed column check or a field over csv's limit.
+    Numbers are read as floats, or as text cast by ``float``'s rules if the file
+    holds a ``_CAST_BYTES`` byte or the float read refused a cell ``float`` may
+    take.  None: a refused cast, a bad row, a failed column check or a field over csv's limit.
     """
     # With its line end kept, a quoted line break joins the next line into the cell.
     lines = data.splitlines(keepends=True)
@@ -274,10 +274,9 @@ def _read_columns(data: bytes, skip: int, schema: Schema, columns: Mapping[str, 
             try:
                 values, cells = load(kind)
                 break
-            except ValueError:
-                continue
-        else:
-            return None
+            except ValueError as exc:
+                if kind is object or not _castable(str(exc)):
+                    return None
     # Only a quoted cell joins lines: then numpy returns fewer rows than non-blank lines.
     rows = lambda part: len(part) - sum(map(part.count, (b"\n", b"\r\n", b"\r")))
     joined = b'"' in data and len(values) < rows(lines) - rows(lines[:skip])
@@ -288,14 +287,10 @@ def _read_columns(data: bytes, skip: int, schema: Schema, columns: Mapping[str, 
                 return None
         except csv.Error:
             return None
-    return _checked_columns(schema, cols, values, cells.T.tolist())
-
-
-def _checked_columns(schema: Schema, cols, values: np.ndarray, cells: list):
-    """The whole-column checks: (values, cells) with each text cell read, or None."""
     ranged = values[:, [schema.numeric.index(name) for name in schema.ranged]]
     if not np.isfinite(values).all() or ((ranged < schema.low) | (ranged > schema.high)).any():
         return None
+    cells = cells.T.tolist()
     for j, col in enumerate(cols):
         if col.read is not str:  # a verbatim column needs no lookup
             try:
@@ -304,6 +299,19 @@ def _checked_columns(schema: Schema, cols, values: np.ndarray, cells: list):
                 return None
             cells[j] = map(lookup.__getitem__, cells[j])
     return values, cells
+
+
+def _castable(message: str) -> bool:
+    """Whether the float read's fault may be a number only ``float``, and so the cast, reads."""
+    # numpy names the cell by its repr, cut at 100 characters: one cut short or escaped may be.
+    refused = re.match(r"could not convert string '([^'\\]*)' to float64 at ", message)
+    if refused is None:
+        return not message.startswith("invalid column index")  # a short row refuses it too
+    try:
+        float(refused[1])
+    except ValueError:
+        return False
+    return True
 
 
 def _records(data: bytes):
@@ -335,7 +343,7 @@ def _checked_rows(path, records, schema: Schema, columns: Mapping[str, int], col
                     raise type(exc)(f"row {line_no}: {exc}") from None
     except csv.Error as exc:  # named, as every fault, by the line its record starts on
         raise ParseError(f"{path}: row {start}: {exc}") from None
-    raise ParseError(f"{path}: numpy's reader refused the file, but no row has a fault")
+    raise ParseError(f"{path}: numpy's and csv's readers disagree on the file; no row has a fault")
 
 
 def _check_number(schema: Schema, name: str, text: str) -> None:
@@ -551,19 +559,12 @@ def synthetic_walk_dataset(rows: int = 250, noise_sigma: float = 0.05, seed: int
     return generate_synthetic_walk(DEFAULT_BEACONS, waypoints, noise_sigma=noise_sigma, seed=seed)
 
 
-#: Free-text activity tags attached to synthetic zone data, one per zone.
-_ZONE_ACTIVITIES = {
-    "bedroom": "sleeping",
-    "kitchen": "cooking",
-    "office": "working",
-    "toilet": "defecating",
-}
+#: Free-text activity tags attached to synthetic zone data, one per zone in ``ZONES`` order.
+_ZONE_ACTIVITIES = ("sleeping", "cooking", "working", "defecating")
 
 
 def synthetic_rssi_dataset(
-    rows: int = 400,
-    seed: int = 42,
-    visible_range: tuple[float, float] = (-90.0, -40.0),
+    rows: int = 400, seed: int = 42, visible_range: tuple[float, float] = (-90.0, -40.0)
 ) -> Dataset:
     """Scanner readings where exactly one zone sees the beacon per row.
 
@@ -606,9 +607,8 @@ def synthetic_imu_dataset(rows: int = 400, seed: int = 42, noise: float = 0.45) 
     while len(zones) < rows:
         zone = int(rng.integers(0, len(ZONES)))
         dwell = min(int(rng.integers(8, 26)), rows - len(zones))
-        mean = np.array(_IMU_SIGNATURES[ZONES[zone]])
-        runs.append(mean + rng.normal(0.0, noise, size=(dwell, 6)))
+        runs.append(rng.normal(0.0, noise, size=(dwell, 6)) + _IMU_SIGNATURES[ZONES[zone]])
         zones += [zone] * dwell
     values = np.concatenate(runs) if runs else np.empty((0, 6))
-    activities = tuple(_ZONE_ACTIVITIES[ZONES[z]] for z in zones)
+    activities = tuple(_ZONE_ACTIVITIES[z] for z in zones)
     return Dataset("imu", values, zones=zones, activities=activities)

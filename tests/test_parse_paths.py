@@ -206,8 +206,8 @@ def test_both_paths_match_the_reference(case, tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_read_columns", lambda *args: None)
     if expected[1] is None:  # the walker builds no table, so it finds no fault to name
-        no_fault = ParseError(f"{path}: numpy's reader refused the file, but no row has a fault")
-        expected = None, no_fault
+        no_fault = f"{path}: numpy's and csv's readers disagree on the file; no row has a fault"
+        expected = None, ParseError(no_fault)
     assert_same(tag, path, parse(tag, path), expected)
 
 
@@ -218,3 +218,21 @@ def test_the_cases_cover_both_outcomes_on_both_paths(tmp_path):
         path.write_bytes(content)
         outcomes.add((path_taken, reference(tag, path)[1] is None))
     assert outcomes == {("reader", True), ("walker", False), (None, False)}
+
+
+@pytest.mark.parametrize(
+    "row, reads",
+    [
+        ("1__0,2,0.5,0.6,0.7,t0", 1),  # float() refuses the cell too
+        ("1,2,0.5", 1),  # a short row refuses any read
+        ("1_0,2,0.5,0.6,0.7,t0", 2),  # float() takes the cell, so the cast may
+        ("1" * 120 + "_,2,0.5,0.6,0.7,t0", 2),  # numpy cuts the cell's repr short
+    ],
+)
+def test_a_text_read_follows_only_a_refused_cell_float_may_take(row, reads, tmp_path, monkeypatch):
+    path = tmp_path / "one-fault.csv"
+    path.write_bytes(lines(BEACON, "1,2,0.5,0.6,0.7,t0", row))
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    assert_same("beacon", path, parse("beacon", path), reference("beacon", path))
+    assert len(calls) == reads
