@@ -302,7 +302,7 @@ def _read_columns(data: bytes, skip: int, schema: Schema, columns: Mapping[str, 
 
 
 def _castable(message: str) -> bool:
-    """Whether the float read's fault may be a number only ``float``, and so the cast, reads."""
+    """Whether the cell the float read refused may be a number ``float``, so the cast, reads."""
     # numpy names the cell by its repr, cut at 100 characters: one cut short or escaped may be.
     refused = re.match(r"could not convert string '([^'\\]*)' to float64 at ", message)
     if refused is None:
