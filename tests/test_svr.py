@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,46 @@ class TestSvrDivergence:
         argv = ["coords", "--data", str(data), "--model", "svr", "--c", "1e308"]
         assert run_cli(argv + ["--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "training diverged: svr objective became non-finite\n"
+
+
+
+def fit_digest(X, y, **kwargs) -> str:
+    """SHA-256 of a fit's objectives, w (linear) or beta (rbf), b and predict(X[:7])."""
+    model = fit_svr(X, y, **kwargs)
+    coef = model.w if model.kernel == "linear" else model.beta
+    parts = (np.array(model.objectives), coef, np.float64(model.b), model.predict(X[:7]))
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+
+# fit_digest of seeded fits, by (kernel, C, epsilon, max_iter).
+SVR_BYTES = {
+    ("linear", 1.0, 0.1, 200): "608080a11d1a57b829dd6db6b4759cab59daaa79f56823e4dd8a6389e3fce82b",
+    ("linear", 10.0, 0.05, 400): "35ea57694542cd0bd2769249a7fdcb706a2cd533370713bd2171263fcb663e93",
+    ("linear", 0.3, 0.0, 60): "26a1c719ec2cf1f05d2ec757095a3001193b0d0a73a28ea65c9ee01618fcc4c0",
+    ("rbf", 1.0, 0.1, 200): "c8c381390f5d8a0cb8988bd54d1e46c83e34c450a638e9aea231cfdd8c9f04de",
+    ("rbf", 10.0, 0.05, 400): "a03713b4c93fecad23f0d0c38ed8548276640801e5458206610adbc5090fbf17",
+    ("rbf", 0.3, 0.0, 60): "2fcf70501a56ad1327e715c8b557bfad98497f6a85567da2de3c97a7298c39e3",
+}
+
+
+@pytest.mark.parametrize("kernel,C,epsilon,max_iter", list(SVR_BYTES))
+def test_fit_bytes_are_pinned(kernel, C, epsilon, max_iter):
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(40, 3))
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + rng.normal(scale=0.1, size=40)
+    digest = fit_digest(X, y, C=C, epsilon=epsilon, kernel=kernel, max_iter=max_iter)
+    assert digest == SVR_BYTES[kernel, C, epsilon, max_iter]
+
+
+# With one row and gamma 1 the kernel matrix is [[1]]: both kernels fit alike.
+HALVED_BYTES = dict.fromkeys(
+    ("linear", "rbf"), "29a824d359fd20b19104d9fd684ed904ee382a62246832f1423d1582a4cfaacd"
+)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_step_after_failed_halvings_is_pinned(kernel):
+    # One iteration of this one-row fit fails all 50 halvings; the step
+    # they leave carries into the next iteration.
+    digest = fit_digest(np.ones((1, 1)), np.ones(1), epsilon=0.0, kernel=kernel, max_iter=50)
+    assert digest == HALVED_BYTES[kernel]
