@@ -50,9 +50,10 @@ MAX_SEEDS = 1000
 #: Most rows one ``synth`` run may write; it holds every row in memory, about
 #: 0.4 KiB each.
 MAX_SYNTH_ROWS = 1_000_000
-#: ``--trees`` and each ``--layers`` width are bounded where every learner
-#: parameter is checked, in the registry (MAX_TREES, MAX_LAYER_WIDTH), so
-#: the flags and ``LearnerSpec.from_text`` refuse the same values.
+#: ``--trees``, the ``--layers`` count and each width are bounded where every
+#: learner parameter is checked, in the registry (MAX_TREES, MAX_LAYERS,
+#: MAX_LAYER_WIDTH), so the flags and ``LearnerSpec.from_text`` refuse the
+#: same values.
 
 
 class CliUsageError(ValueError):

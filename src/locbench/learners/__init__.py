@@ -4,7 +4,8 @@ Regressors expose ``model.predict(X) -> ndarray``; classifiers expose
 ``model.predict_confidence(X) -> (n, n_classes) ndarray`` of vote or
 probability fractions that sum to one per row.  Build either through
 :func:`fit_regressor` / :func:`fit_classifier` with a :class:`LearnerSpec`,
-or call the per-family fit functions directly.
+or call the per-family fit functions directly; each checks its training
+set with :func:`.base.training_data` first.
 
 Every fact about a family lives in two tables: :data:`PARAMS` (each
 hyperparameter's text form, valid range and flag help) and
@@ -29,7 +30,7 @@ from .base import (
     prediction_from_scores,
     standardize,
 )
-from .boosting import GbtModel, fit_gbt, predict_gbt
+from .boosting import GbtModel, fit_gbt
 from .forest import (
     ForestModel,
     ImportanceReport,
@@ -38,11 +39,11 @@ from .forest import (
     fit_forest,
     predict_forest,
 )
-from .linear import LinearModel, fit_ols, predict_linear
+from .linear import LinearModel, fit_ols
 from .mlp import MlpModel, MlpNetwork, fit_mlp
 from .neighbors import KnnModel, fit_knn, predict_knn
-from .svr import SvrModel, fit_svr, predict_svr
-from .tree import Tree, eval_tree, fit_tree, tree_apply, tree_depth, tree_predict
+from .svr import SvrModel, fit_svr
+from .tree import Tree, eval_tree, fit_tree, tree_apply, tree_depth
 
 __all__ = [
     "CLASSIFIER_FAMILIES",
@@ -54,6 +55,7 @@ __all__ = [
     "KnnModel",
     "LearnerSpec",
     "LinearModel",
+    "MAX_LAYERS",
     "MAX_LAYER_WIDTH",
     "MAX_TREES",
     "MlpModel",
@@ -78,14 +80,10 @@ __all__ = [
     "fit_tree",
     "prediction_from_scores",
     "predict_forest",
-    "predict_gbt",
     "predict_knn",
-    "predict_linear",
-    "predict_svr",
     "standardize",
     "tree_apply",
     "tree_depth",
-    "tree_predict",
 ]
 
 
@@ -120,6 +118,8 @@ MAX_TREES = 10_000
 #: Most units one hidden layer may have.  Two layers this wide already need
 #: an 8 MB weight matrix, and its gradient, per network.
 MAX_LAYER_WIDTH = 1_000
+#: Most hidden layers one network may have: at most about 160 MB of weights.
+MAX_LAYERS = 20
 
 PARAMS: dict[str, Param] = {
     "k": Param(int, _count, _COUNT, "neighbors (knn)"),
@@ -140,9 +140,9 @@ PARAMS: dict[str, Param] = {
     "layers": Param(
         int_tuple,
         lambda v: isinstance(v, tuple)
-        and len(v) >= 1
+        and 1 <= len(v) <= MAX_LAYERS
         and all(_count(s) and s <= MAX_LAYER_WIDTH for s in v),
-        f"one or more integers from 1 to {MAX_LAYER_WIDTH}",
+        f"1 to {MAX_LAYERS} integers from 1 to {MAX_LAYER_WIDTH}",
         "hidden layer sizes, comma separated (ann/deep_learning)",
         show=lambda v: ",".join(str(s) for s in v),
     ),

@@ -17,6 +17,38 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+def training_data(X, y, task: str = "regression", n_classes: int | None = None):
+    """Check one training set under the rules every learner shares.
+
+    ``X`` must be a 2-D matrix of finite floats with one row per target and
+    at least one row.  Regression targets are cast to float and must be
+    finite; class labels are cast to int and must lie in ``0 .. n_classes -
+    1``.  Returns the checked ``(X, y)``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise ValidationError(f"X and y disagree: {X.shape} vs {y.shape}")
+    if len(y) == 0:
+        raise ValidationError("cannot fit on an empty training set")
+    if not np.isfinite(X).all():
+        raise ValidationError("training features contain non-finite values")
+    if task == "regression":
+        y = y.astype(float)
+        if not np.isfinite(y).all():
+            raise ValidationError("regression targets contain non-finite values")
+    elif task == "classification":
+        if n_classes is None:
+            raise ValidationError("classification requires n_classes")
+        y = y.astype(int)
+        lo, hi = y.min(), y.max()
+        if lo < 0 or hi >= n_classes:
+            raise ValidationError(f"class labels must lie in 0..{n_classes - 1}, got {lo}..{hi}")
+    else:
+        raise ValidationError(f"unknown task {task!r}")
+    return X, y
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """A rectangular, all-finite feature table with named columns."""

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .tree import Tree, fit_tree, tree_predict
+from .base import training_data
+from .tree import Tree, fit_tree
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,11 @@ class GbtModel:
     train_losses: tuple[float, ...]  # training MSE after 0, 1, ..., n stages
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_gbt(self, X)
+        X = np.asarray(X, dtype=float)
+        out = np.full(len(X), self.baseline)
+        for tree in self.trees:
+            out += self.rate * tree.predict(X)
+        return out
 
 
 def fit_gbt(
@@ -37,10 +42,7 @@ def fit_gbt(
     rate: float = 0.1,
     min_leaf: int = 1,
 ) -> GbtModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise ValidationError("cannot boost on an empty training set")
+    X, y = training_data(X, y)
     if not (0.0 < rate <= 1.0):
         raise ValidationError(f"rate must be in (0, 1], got {rate}")
 
@@ -51,17 +53,9 @@ def fit_gbt(
     for _ in range(n_trees):
         residual = y - current
         tree = fit_tree(X, residual, task="regression", max_depth=max_depth, min_leaf=min_leaf)
-        current = current + rate * tree_predict(tree, X)
+        current = current + rate * tree.predict(X)
         trees.append(tree)
         losses.append(float(np.mean((y - current) ** 2)))
     return GbtModel(
         baseline=baseline, trees=tuple(trees), rate=rate, train_losses=tuple(losses)
     )
-
-
-def predict_gbt(model: GbtModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    out = np.full(len(X), model.baseline)
-    for tree in model.trees:
-        out += model.rate * tree_predict(tree, X)
-    return out

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .tree import Tree, tree_gains, tree_predict
+from .base import training_data
+from .tree import Tree, tree_gains
 
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 10
@@ -66,10 +67,7 @@ def fit_forest(
 ) -> ForestModel:
     from .tree import fit_tree
 
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if len(X) < 1:
-        raise ValidationError("cannot fit a forest on an empty training set")
+    X, y = training_data(X, y, task, n_classes)
     if n_trees < 1:
         raise ValidationError(f"n_trees must be >= 1, got {n_trees}")
     if mtry is None:
@@ -110,13 +108,13 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     if model.task == "regression":
         total = np.zeros(len(X))
         for tree in model.trees:
-            total += tree_predict(tree, X)
+            total += tree.predict(X)
         return total / model.n_trees
     votes = np.zeros((len(X), model.n_classes))
     rows = np.arange(len(X))
     for tree in model.trees:
         # argmax takes the first maximum: count ties vote for the lowest class.
-        votes[rows, np.argmax(tree_predict(tree, X), axis=1)] += 1.0
+        votes[rows, np.argmax(tree.predict(X), axis=1)] += 1.0
     return votes / model.n_trees
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
+from .base import training_data
 
 RIDGE_JITTER = 1e-8
 
@@ -21,12 +22,11 @@ class LinearModel:
     intercept: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_linear(self, X)
+        return np.asarray(X, dtype=float) @ self.coef + self.intercept
 
 
 def fit_ols(X, y) -> LinearModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = training_data(X, y)
     n, p = X.shape
     if n < p + 1:
         raise ValidationError(f"need at least p+1={p + 1} rows to fit {p} coefficients, got {n}")
@@ -39,8 +39,3 @@ def fit_ols(X, y) -> LinearModel:
     if not np.isfinite(theta).all():
         raise ValidationError("normal equations produced non-finite coefficients")
     return LinearModel(coef=theta[:-1], intercept=float(theta[-1]))
-
-
-def predict_linear(model: LinearModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return X @ model.coef + model.intercept

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError
+from .base import TrainingDivergedError, training_data
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -168,25 +168,16 @@ def fit_mlp(
     n_classes: int | None = None,
 ) -> MlpModel:
     """Train a network; features should be standardized upstream."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if len(X) == 0:
-        raise ValidationError("cannot train on an empty dataset")
-
+    X, y = training_data(X, y, task, n_classes)
     if task == "regression":
-        y = y.astype(float)
         y_min = float(y.min())
         y_span = float(y.max() - y.min()) or 1.0
         targets = (y - y_min) / y_span
         out_size = 1
-    elif task == "classification":
-        if n_classes is None:
-            raise ValidationError("classification requires n_classes")
-        targets = y.astype(int)
+    else:
+        targets = y
         y_min, y_span = 0.0, 1.0
         out_size = n_classes
-    else:
-        raise ValidationError(f"unknown task {task!r}")
 
     net = MlpNetwork(
         layer_sizes=(X.shape[1], *hidden, out_size),

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
+from .base import training_data
 
 # Distance cells (query rows x distinct training rows) in one block: 2**15
 # float64 cells are 256 KiB per buffer.
@@ -71,28 +72,11 @@ class KnnModel:
 
 
 def fit_knn(X, y, *, k: int = 5, task: str = "regression", n_classes: int | None = None) -> KnnModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if task not in ("regression", "classification"):
-        raise ValidationError(f"unknown task {task!r}")
-    if X.ndim != 2:
-        raise ValidationError(f"features must be a 2-D array, got {X.ndim} dimensions")
-    if not np.isfinite(X).all():
-        raise ValidationError("training features contain non-finite values")
+    X, y = training_data(X, y, task, n_classes)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k > len(X):
         raise ValidationError(f"k={k} exceeds the {len(X)} training rows")
-    if task == "classification":
-        if n_classes is None:
-            raise ValidationError("classification requires n_classes")
-        y = y.astype(int)
-        if len(y) and (y.min() < 0 or y.max() >= n_classes):
-            raise ValidationError(f"class labels must lie in 0..{n_classes - 1}")
-    else:
-        y = y.astype(float)
-        if not np.isfinite(y).all():
-            raise ValidationError("training targets contain non-finite values")
     columns, members = _group_rows(X, k)
     return KnnModel(X=X, y=y, k=k, task=task, columns=columns, members=members, n_classes=n_classes)
 

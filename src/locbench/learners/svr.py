@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError
+from .base import TrainingDivergedError, training_data
 
 _STEP_GROW = 1.3
 _MAX_HALVINGS = 50
@@ -48,7 +48,10 @@ class SvrModel:
     objectives: tuple[float, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_svr(self, X)
+        X = np.asarray(X, dtype=float)
+        if self.kernel == "linear":
+            return X @ self.w + self.b
+        return _rbf_kernel(X, self.X_train, self.gamma) @ self.beta + self.b
 
 
 def fit_svr(
@@ -61,10 +64,7 @@ def fit_svr(
     gamma: float | None = None,
     max_iter: int = 500,
 ) -> SvrModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) == 0:
-        raise ValidationError("cannot train on an empty dataset")
+    X, y = training_data(X, y)
     if C <= 0:
         raise ValidationError(f"C must be > 0, got {C}")
     if epsilon < 0:
@@ -73,44 +73,34 @@ def fit_svr(
         raise ValidationError(f"unknown kernel {kernel!r}")
 
     n, p = X.shape
-    if kernel == "rbf" and n > _RBF_MAX_ROWS:
-        raise ValidationError(
-            f"the rbf kernel is limited to {_RBF_MAX_ROWS} training rows "
-            f"(its kernel matrix is n x n), got {n}"
-        )
-    if kernel == "rbf":
+    rbf = kernel == "rbf"
+    # Each kernel sets the design matrix the coefficients act through,
+    # the penalty on them and its subgradient's coefficient part.
+    if rbf:
+        if n > _RBF_MAX_ROWS:
+            raise ValidationError(
+                f"the rbf kernel is limited to {_RBF_MAX_ROWS} training rows "
+                f"(its kernel matrix is n x n), got {n}"
+            )
         gamma = gamma if gamma is not None else 1.0 / p
-        K = _rbf_kernel(X, X, gamma)
-        theta = np.zeros(n + 1)  # beta..., b
-
-        def objective(t):
-            f = K @ t[:-1] + t[-1]
-            slack = np.maximum(np.abs(y - f) - epsilon, 0.0)
-            return 0.5 * float(t[:-1] @ K @ t[:-1]) + C * float(slack.sum())
-
-        def subgradient(t):
-            r = y - (K @ t[:-1] + t[-1])
-            s = np.where(np.abs(r) > epsilon, np.sign(r), 0.0)
-            g = np.empty(n + 1)
-            g[:-1] = K @ (t[:-1] - C * s)
-            g[-1] = -C * s.sum()
-            return g
-
+        design = K = _rbf_kernel(X, X, gamma)
+        penalty = lambda coef: coef @ K @ coef
+        descent = lambda coef, s: K @ (coef - C * s)
     else:
-        theta = np.zeros(p + 1)  # w..., b
+        design = X
+        penalty = lambda coef: coef @ coef
+        descent = lambda coef, s: coef - C * (X.T @ s)
+    theta = np.zeros(design.shape[1] + 1)  # coefficients..., b
 
-        def objective(t):
-            f = X @ t[:-1] + t[-1]
-            slack = np.maximum(np.abs(y - f) - epsilon, 0.0)
-            return 0.5 * float(t[:-1] @ t[:-1]) + C * float(slack.sum())
+    def objective(t):
+        f = design @ t[:-1] + t[-1]
+        slack = np.maximum(np.abs(y - f) - epsilon, 0.0)
+        return 0.5 * float(penalty(t[:-1])) + C * float(slack.sum())
 
-        def subgradient(t):
-            r = y - (X @ t[:-1] + t[-1])
-            s = np.where(np.abs(r) > epsilon, np.sign(r), 0.0)
-            g = np.empty(p + 1)
-            g[:-1] = t[:-1] - C * (X.T @ s)
-            g[-1] = -C * s.sum()
-            return g
+    def subgradient(t):
+        r = y - (design @ t[:-1] + t[-1])
+        s = np.where(np.abs(r) > epsilon, np.sign(r), 0.0)
+        return np.append(descent(t[:-1], s), -C * s.sum())
 
     # Overflow here is the divergence signal, not an error: a non-finite
     # objective raises TrainingDivergedError below.
@@ -120,51 +110,29 @@ def fit_svr(
         step = 1.0
         for _ in range(max_iter):
             g = subgradient(theta)
-            accepted = False
-            trial_step = step
+            # After _MAX_HALVINGS rejected steps, the next iteration starts
+            # from the last, smallest one.
             for _ in range(_MAX_HALVINGS):
-                candidate = theta - trial_step * g
+                candidate = theta - step * g
                 value = objective(candidate)
                 if not np.isfinite(value):
                     raise TrainingDivergedError("svr objective became non-finite")
                 if value <= current:
                     theta, current = candidate, value
-                    step = trial_step * _STEP_GROW
-                    accepted = True
+                    step *= _STEP_GROW
                     break
-                trial_step *= 0.5
-            if not accepted:
-                step = trial_step  # keep shrinking on the next iteration
+                step *= 0.5
             trajectory.append(current)
 
-    if kernel == "rbf":
-        return SvrModel(
-            kernel=kernel,
-            C=C,
-            epsilon=epsilon,
-            gamma=gamma,
-            w=None,
-            beta=theta[:-1],
-            b=float(theta[-1]),
-            X_train=X,
-            objectives=tuple(trajectory),
-        )
+    coef = theta[:-1]
     return SvrModel(
         kernel=kernel,
         C=C,
         epsilon=epsilon,
-        gamma=None,
-        w=theta[:-1],
-        beta=None,
+        gamma=gamma if rbf else None,
+        w=None if rbf else coef,
+        beta=coef if rbf else None,
         b=float(theta[-1]),
-        X_train=None,
+        X_train=X if rbf else None,
         objectives=tuple(trajectory),
     )
-
-
-def predict_svr(model: SvrModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if model.kernel == "linear":
-        return X @ model.w + model.b
-    K = _rbf_kernel(X, model.X_train, model.gamma)
-    return K @ model.beta + model.b

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
+from .base import training_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +67,7 @@ class Tree:
 
     def predict(self, X) -> np.ndarray:
         """Leaf payload per row: the mean (regression) or class counts."""
-        return tree_predict(self, X)
+        return self.value[tree_apply(self, X)]
 
     def predict_confidence(self, X) -> np.ndarray:
         """Per-row class fractions of the leaf's training counts."""
@@ -89,11 +90,6 @@ def tree_apply(tree: Tree, X) -> np.ndarray:
         goes_left = X[rows, feature] > tree.threshold[at]
         node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
     return node
-
-
-def tree_predict(tree: Tree, X) -> np.ndarray:
-    """Leaf payload for every row of X (leaf means for a regression tree)."""
-    return tree.value[tree_apply(tree, X)]
 
 
 def eval_tree(tree: Tree, features) -> float | np.ndarray:
@@ -211,33 +207,11 @@ def fit_tree(
     searches every feature.  If the sampled subset admits no valid split
     the search falls back to all features before giving up.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValidationError(f"X and y disagree: {X.shape} vs {y.shape}")
-    if len(y) == 0:
-        raise ValidationError("cannot fit a tree on an empty training set")
+    X, y = training_data(X, y, task, n_classes)
     if min_leaf < 1:
         raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     if len(y) < min_leaf:
         raise ValidationError(f"need at least min_leaf={min_leaf} samples, got {len(y)}")
-    if task == "classification":
-        if n_classes is None:
-            raise ValidationError("classification requires n_classes")
-        y = y.astype(int)
-        if y.min() < 0 or y.max() >= n_classes:
-            raise ValidationError(
-                f"class labels must lie in 0..{n_classes - 1}, got {y.min()}..{y.max()}"
-            )
-        inner_value: float | np.ndarray = np.zeros(n_classes, dtype=np.intp)
-    elif task == "regression":
-        y = y.astype(float)
-        if not np.isfinite(y).all():
-            raise ValidationError("regression targets must be finite")
-        n_classes = None
-        inner_value = 0.0
-    else:
-        raise ValidationError(f"unknown task {task!r}")
     if mtry is not None:
         if mtry < 1:
             raise ValidationError(f"mtry must be >= 1, got {mtry}")
@@ -245,7 +219,8 @@ def fit_tree(
             raise ValidationError("feature subsampling requires an rng")
 
     n, p = X.shape
-    classify = n_classes is not None
+    classify = task == "classification"
+    inner_value = np.zeros(n_classes, dtype=np.intp) if classify else 0.0
     subsets = _FeatureSubsets(rng, p, mtry) if mtry is not None and mtry < p else None
     every = np.arange(p)
     # Split positions by node size m: sorted positions lo..hi-1 leave

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 import locbench.learners
 from locbench.data import ZONES, ValidationError
 from locbench.learners import (
+    CLASSIFIER_FAMILIES,
     FAMILIES,
     MAX_LAYER_WIDTH,
+    MAX_LAYERS,
     MAX_TREES,
     FeatureMatrix,
     LearnerSpec,
@@ -104,6 +108,7 @@ class TestLearnerSpec:
             ("gbt", {"trees": MAX_TREES + 1}),
             ("ann", {"layers": (MAX_LAYER_WIDTH + 1,)}),
             ("deep_learning", {"layers": (50, MAX_LAYER_WIDTH + 1)}),
+            ("deep_learning", {"layers": (1,) * (MAX_LAYERS + 1)}),
             ("svr", {"c": float("inf")}),
             ("svr", {"epsilon": float("inf")}),
             ("svr", {"gamma": float("inf")}),
@@ -239,6 +244,49 @@ class TestFitDispatch:
         [(name, args, kwargs)] = calls
         assert args[0] is X and args[1] is y and len(args) == 2
         assert (name, kwargs) == DISPATCH[family, task]
+
+
+def _bad_training_sets():
+    """One training set per shared rule, keyed by the message it must raise."""
+    X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    nan_cell, nan_target = X.copy(), y.copy()
+    nan_cell[2, 1] = nan_target[3] = np.nan
+    return {
+        "training features contain non-finite values": (nan_cell, y),
+        "regression targets contain non-finite values": (X, nan_target),
+        "cannot fit on an empty training set": (X[:0], y[:0]),
+        "X and y disagree: (6, 2) vs (5,)": (X, y[:5]),
+    }
+
+
+def _quick_spec(family):
+    return LearnerSpec(family, params={"epochs": 2} if family in ("ann", "deep_learning") else {})
+
+
+class TestTrainingContract:
+    """Every family takes its training set under the same rules and words."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("message", list(_bad_training_sets()))
+    def test_bad_regression_set_rejected_alike(self, family, message):
+        X, y = _bad_training_sets()[message]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit_regressor(_quick_spec(family), X, y)
+
+    @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES)
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_outside_the_classes_rejected_alike(self, family, label):
+        X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 3, 0, label])
+        with pytest.raises(ValidationError, match=r"^class labels must lie in 0\.\.3, got "):
+            fit_classifier(_quick_spec(family), X, y, n_classes=4)
+
+
+def test_package_surface_resolves():
+    missing = [name for name in locbench.learners.__all__ if not hasattr(locbench.learners, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from locbench.learners import *", namespace)
+    assert set(locbench.learners.__all__) <= set(namespace)
 
 
 class TestPredictionFromScores:

@@ -18,7 +18,7 @@ from locbench.data import (
     synthetic_walk_dataset,
     write_csv,
 )
-from locbench.learners import MAX_LAYER_WIDTH, MAX_TREES, PARAMS
+from locbench.learners import MAX_LAYER_WIDTH, MAX_LAYERS, MAX_TREES, PARAMS
 
 
 def run(args):
@@ -507,6 +507,19 @@ class TestBadArguments:
         rule = PARAMS[key].rule
         got = value.format(**sizes)
         assert capsys.readouterr().err == f"error: {family}: {key} must be {rule}, got {got}\n"
+        assert not out.exists()
+
+    def test_more_hidden_layers_than_the_limit_exit_one(self, tmp_path, capsys, monkeypatch):
+        # Refused before the data is read: no parser or pipeline may run.
+        monkeypatch.setattr(cli, "parse_beacon_csv", None)
+        monkeypatch.setattr(cli, "run_coords", None)
+        layers = ",".join(["1"] * (MAX_LAYERS + 1))
+        out = tmp_path / "out"
+        argv = ["coords", "--model", "ann", "--layers", layers, "--data", str(tmp_path / "missing.csv")]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        got = "(" + ", ".join(["1"] * (MAX_LAYERS + 1)) + ")"
+        rule = PARAMS["layers"].rule
+        assert capsys.readouterr().err == f"error: ann: layers must be {rule}, got {got}\n"
         assert not out.exists()
 
     def test_negative_synth_seed_exit_one(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from locbench.data import ValidationError
-from locbench.learners import fit_gbt, fit_tree, predict_gbt, tree_predict
+from locbench.learners import fit_gbt, fit_tree
 
 
 class TestGbt:
@@ -11,7 +11,7 @@ class TestGbt:
         X = rng.normal(size=(25, 3))
         model = fit_gbt(X, np.full(25, 6.5), n_trees=20)
         assert model.baseline == 6.5
-        assert np.allclose(predict_gbt(model, X[:6]), 6.5, atol=1e-9)
+        assert np.allclose(model.predict(X[:6]), 6.5, atol=1e-9)
 
     def test_single_stage_full_rate_equals_single_tree(self):
         # One stage at rate 1 fits the residuals of the mean; squared-error
@@ -22,7 +22,7 @@ class TestGbt:
         y = rng.normal(size=50)
         boosted = fit_gbt(X, y, n_trees=1, rate=1.0, max_depth=4)
         single = fit_tree(X, y, max_depth=4)
-        assert np.allclose(predict_gbt(boosted, X), tree_predict(single, X), atol=1e-9)
+        assert np.allclose(boosted.predict(X), single.predict(X), atol=1e-9)
 
     def test_training_loss_non_increasing_per_stage(self):
         rng = np.random.default_rng(2)

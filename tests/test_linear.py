@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from locbench.data import ValidationError
-from locbench.learners import fit_ols, predict_linear
+from locbench.learners import fit_ols
 
 
 class TestOls:
@@ -23,7 +23,7 @@ class TestOls:
         X = rng.normal(size=(50, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(scale=0.3, size=50)
         model = fit_ols(X, y)
-        residuals = y - predict_linear(model, X)
+        residuals = y - model.predict(X)
         for j in range(4):
             assert abs(float(residuals @ X[:, j])) < 1e-6
         assert abs(float(residuals.sum())) < 1e-6  # intercept column too
@@ -42,7 +42,7 @@ class TestOls:
         X = np.column_stack([x, x])  # exactly collinear
         y = 2.0 * x + 1.0
         model = fit_ols(X, y)
-        preds = predict_linear(model, X)
+        preds = model.predict(X)
         assert np.allclose(preds, y, atol=1e-4)
 
     def test_too_few_rows_rejected(self):

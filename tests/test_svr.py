@@ -5,7 +5,7 @@ import pytest
 
 from locbench.cli import run_cli
 from locbench.data import ValidationError
-from locbench.learners import TrainingDivergedError, fit_svr, predict_svr, standardize
+from locbench.learners import TrainingDivergedError, fit_svr, standardize
 
 
 def assert_non_increasing(values):
@@ -19,7 +19,7 @@ class TestSvrLinear:
         stats, xs = standardize(x)
         model = fit_svr(xs, y, kernel="linear", C=1.0, epsilon=0.1, max_iter=500)
         held_out = stats.transform(np.array([[0.25], [0.55], [0.85]]))
-        preds = predict_svr(model, held_out)
+        preds = model.predict(held_out)
         expected = 2.0 * np.array([0.25, 0.55, 0.85]) + 1.0
         rmse = float(np.sqrt(np.mean((preds - expected) ** 2)))
         assert rmse < model.epsilon
@@ -40,7 +40,7 @@ class TestSvrLinear:
         zero_objective = 25 * 2.75
         assert model.objectives[0] == pytest.approx(zero_objective)
         assert model.objectives[-1] <= zero_objective
-        preds = predict_svr(model, X)
+        preds = model.predict(X)
         assert np.all(np.abs(preds - 3.0) <= 0.25 + 1e-6)
 
 
@@ -62,7 +62,7 @@ class TestSvrRbf:
         X = rng.uniform(-2, 2, size=(60, 1))
         y = np.sin(2.0 * X[:, 0])
         model = fit_svr(X, y, kernel="rbf", C=10.0, gamma=2.0, epsilon=0.05, max_iter=800)
-        preds = predict_svr(model, X)
+        preds = model.predict(X)
         assert float(np.sqrt(np.mean((preds - y) ** 2))) < 0.2
 
     def test_deterministic(self):

@@ -11,7 +11,6 @@ from locbench.learners import (
     fit_tree,
     tree_apply,
     tree_depth,
-    tree_predict,
 )
 from locbench.learners.tree import _FeatureSubsets
 from reference_trees import (
@@ -70,7 +69,7 @@ class TestEvalTreeAgainstReferenceTrees:
             leaves = tree_apply(tree, grid)
             assert np.all(tree.feature[leaves] == -1)
             expected = [eval_tree(tree, row) for row in grid]
-            assert tree_predict(tree, grid).tolist() == expected
+            assert tree.predict(grid).tolist() == expected
             assert tree_apply(tree, grid[:0]).shape == (0,)
 
 
@@ -92,14 +91,14 @@ class TestFitTreeRegression:
         assert root.threshold[0] == 2.5
         assert root.value[root.left[0]] == 10.0  # the > branch
         assert root.value[root.right[0]] == 0.0
-        assert np.all(tree_predict(root, X) == y)
+        assert np.all(root.predict(X) == y)
 
     def test_exact_fit_when_rows_distinct(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         root = fit_tree(X, y, max_depth=None, min_leaf=1)
-        assert np.allclose(tree_predict(root, X), y)
+        assert np.allclose(root.predict(X), y)
 
     def test_exact_fit_on_xor_pattern(self):
         # No single split improves the loss, but splitting must continue
@@ -107,7 +106,7 @@ class TestFitTreeRegression:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         root = fit_tree(X, y)
-        assert np.all(tree_predict(root, X) == y)
+        assert np.all(root.predict(X) == y)
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(6)
@@ -166,7 +165,7 @@ class TestFitTreeRegression:
         X = np.array([[x] for x, _ in data])
         y = np.array([t for _, t in data])
         root = fit_tree(X, y, max_depth=3)
-        fitted = tree_predict(root, X)
+        fitted = root.predict(X)
         assert np.sum((y - fitted) ** 2) <= np.sum((y - y.mean()) ** 2) + 1e-9
 
 
