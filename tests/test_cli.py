@@ -515,10 +515,10 @@ class TestBadArguments:
         monkeypatch.setattr(cli, "run_coords", None)
         layers = ",".join(["1"] * (MAX_LAYERS + 1))
         out = tmp_path / "out"
-        argv = ["coords", "--model", "ann", "--layers", layers, "--data", str(tmp_path / "missing.csv")]
+        data = tmp_path / "missing.csv"
+        argv = ["coords", "--model", "ann", "--layers", layers, "--data", str(data)]
         assert run(argv + ["--out-dir", str(out)]) == 1
-        got = "(" + ", ".join(["1"] * (MAX_LAYERS + 1)) + ")"
-        rule = PARAMS["layers"].rule
+        rule, got = PARAMS["layers"].rule, (1,) * (MAX_LAYERS + 1)
         assert capsys.readouterr().err == f"error: ann: layers must be {rule}, got {got}\n"
         assert not out.exists()
 
