@@ -52,7 +52,6 @@ from .evaluation import (
 )
 from .learners import (
     FAMILIES,
-    FeatureMatrix,
     LearnerSpec,
     TrainingDivergedError,
     standardize,

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..data import ValidationError
 from .base import (
-    FeatureMatrix,
     Standardizer,
     TrainingDivergedError,
     prediction_from_scores,
@@ -48,7 +47,6 @@ from .tree import Tree, eval_tree, fit_tree, tree_apply, tree_depth
 __all__ = [
     "CLASSIFIER_FAMILIES",
     "FAMILIES",
-    "FeatureMatrix",
     "ForestModel",
     "GbtModel",
     "ImportanceReport",

@@ -1,4 +1,4 @@
-"""Shared learner plumbing: feature matrices, standardization, predictions."""
+"""Shared learner plumbing: training and query checks, standardization, predictions."""
 
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ def training_data(X, y, task: str = "regression", n_classes: int | None = None):
 
     ``X`` must be a 2-D matrix of finite floats with one row per target and
     at least one row.  Regression targets are cast to float and must be
-    finite; class labels are cast to int and must lie in ``0 .. n_classes -
-    1``.  Returns the checked ``(X, y)``.
+    finite; class labels must be whole numbers in ``0 .. n_classes - 1``
+    and are cast to int.  Returns the checked ``(X, y)``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -40,41 +40,30 @@ def training_data(X, y, task: str = "regression", n_classes: int | None = None):
     elif task == "classification":
         if n_classes is None:
             raise ValidationError("classification requires n_classes")
-        y = y.astype(int)
-        lo, hi = y.min(), y.max()
+        if not (np.isfinite(y) & (np.round(y) == y)).all():
+            raise ValidationError("class labels must be whole numbers")
+        lo, hi = int(y.min()), int(y.max())
         if lo < 0 or hi >= n_classes:
             raise ValidationError(f"class labels must lie in 0..{n_classes - 1}, got {lo}..{hi}")
+        y = y.astype(int)
     else:
         raise ValidationError(f"unknown task {task!r}")
     return X, y
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """A rectangular, all-finite feature table with named columns."""
+def query_data(X, n_features: int | None) -> np.ndarray:
+    """Check one query matrix under the rules every fitted model shares.
 
-    values: np.ndarray
-    columns: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValidationError(f"feature matrix must be 2-D, got {values.ndim}-D")
-        if values.shape[1] != len(self.columns):
-            raise ValidationError(
-                f"{values.shape[1]} columns of data vs {len(self.columns)} column names"
-            )
-        if not np.isfinite(values).all():
-            raise ValidationError("feature matrix contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
+    A 1-D query is one row.  The queries must be a 2-D matrix of finite
+    floats with the ``n_features`` columns the model was fitted on (any
+    width when None).  Returns the checked matrix.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or n_features not in (None, X.shape[1]):
+        raise ValidationError(f"queries have shape {X.shape}, expected {n_features} columns")
+    if not np.isfinite(X).all():
+        raise ValidationError("query features contain non-finite values")
+    return X
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import training_data
-from .tree import Tree, fit_tree
+from .base import query_data, training_data
+from .tree import Tree, fit_tree, tree_apply
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,13 @@ class GbtModel:
     trees: tuple[Tree, ...]
     rate: float
     train_losses: tuple[float, ...]  # training MSE after 0, 1, ..., n stages
+    n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = query_data(X, self.n_features)
         out = np.full(len(X), self.baseline)
         for tree in self.trees:
-            out += self.rate * tree.predict(X)
+            out += self.rate * tree.value[tree_apply(tree, X)]
         return out
 
 
@@ -53,9 +54,13 @@ def fit_gbt(
     for _ in range(n_trees):
         residual = y - current
         tree = fit_tree(X, residual, task="regression", max_depth=max_depth, min_leaf=min_leaf)
-        current = current + rate * tree.predict(X)
+        current = current + rate * tree.value[tree_apply(tree, X)]
         trees.append(tree)
         losses.append(float(np.mean((y - current) ** 2)))
     return GbtModel(
-        baseline=baseline, trees=tuple(trees), rate=rate, train_losses=tuple(losses)
+        baseline=baseline,
+        trees=tuple(trees),
+        rate=rate,
+        train_losses=tuple(losses),
+        n_features=X.shape[1],
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import training_data
-from .tree import Tree, tree_gains
+from .base import query_data, training_data
+from .tree import Tree, tree_apply, tree_gains
 
 DEFAULT_TREES = 100
 DEFAULT_DEPTH = 10
@@ -104,17 +104,17 @@ def fit_forest(
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
     """Mean over trees (regression) or per-class vote fractions (classification)."""
-    X = np.asarray(X, dtype=float)
+    X = query_data(X, model.n_features)
     if model.task == "regression":
         total = np.zeros(len(X))
         for tree in model.trees:
-            total += tree.predict(X)
+            total += tree.value[tree_apply(tree, X)]
         return total / model.n_trees
     votes = np.zeros((len(X), model.n_classes))
     rows = np.arange(len(X))
     for tree in model.trees:
         # argmax takes the first maximum: count ties vote for the lowest class.
-        votes[rows, np.argmax(tree.predict(X), axis=1)] += 1.0
+        votes[rows, np.argmax(tree.value[tree_apply(tree, X)], axis=1)] += 1.0
     return votes / model.n_trees
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import training_data
+from .base import query_data, training_data
 
 RIDGE_JITTER = 1e-8
 
@@ -22,7 +22,7 @@ class LinearModel:
     intercept: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coef + self.intercept
+        return query_data(X, len(self.coef)) @ self.coef + self.intercept
 
 
 def fit_ols(X, y) -> LinearModel:

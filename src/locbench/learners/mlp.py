@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError, training_data
+from .base import TrainingDivergedError, query_data, training_data
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -143,7 +143,7 @@ class MlpModel:
     epoch_losses: tuple[float, ...] = ()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = self.net.forward(np.asarray(X, dtype=float))
+        out = self.net.forward(query_data(X, self.net.layer_sizes[0]))
         if self.net.task == "regression":
             return out[:, 0] * self.y_span + self.y_min
         raise ValidationError("use predict_confidence for classification")
@@ -151,7 +151,7 @@ class MlpModel:
     def predict_confidence(self, X: np.ndarray) -> np.ndarray:
         if self.net.task != "classification":
             raise ValidationError("confidence output requires a classification model")
-        return self.net.forward(np.asarray(X, dtype=float))
+        return self.net.forward(query_data(X, self.net.layer_sizes[0]))
 
 
 def fit_mlp(

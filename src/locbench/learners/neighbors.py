@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import training_data
+from .base import query_data, training_data
 
 # Distance cells (query rows x distinct training rows) in one block: 2**15
 # float64 cells are 256 KiB per buffer.
@@ -178,13 +178,7 @@ def _neighbor_indices(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 
 def predict_knn(model: KnnModel, X) -> np.ndarray:
     """Mean neighbor target (regression) or vote fractions (classification)."""
-    queries = np.atleast_2d(np.asarray(X, dtype=float))
-    if queries.ndim != 2 or queries.shape[1] != model.X.shape[1]:
-        raise ValidationError(
-            f"queries have shape {queries.shape}, expected {model.X.shape[1]} columns"
-        )
-    if not np.isfinite(queries).all():
-        raise ValidationError("query features contain non-finite values")
+    queries = query_data(X, model.X.shape[1])
     nearest = _neighbor_indices(model, queries)
     if model.task == "regression":
         return model.y[nearest].mean(axis=1)

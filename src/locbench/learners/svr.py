@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError, training_data
+from .base import TrainingDivergedError, query_data, training_data
 
 _STEP_GROW = 1.3
 _MAX_HALVINGS = 50
@@ -48,9 +48,9 @@ class SvrModel:
     objectives: tuple[float, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         if self.kernel == "linear":
-            return X @ self.w + self.b
+            return query_data(X, len(self.w)) @ self.w + self.b
+        X = query_data(X, self.X_train.shape[1])
         return _rbf_kernel(X, self.X_train, self.gamma) @ self.beta + self.b
 
 

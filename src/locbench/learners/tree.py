@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import training_data
+from .base import query_data, training_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,9 @@ class Tree:
     for classification (zero at internal nodes).  ``count`` is the number
     of training samples reaching each node, and ``gain`` the training
     impurity decrease of each split (0 at leaves), in summed-squared-error
-    or count-weighted Gini units.
+    or count-weighted Gini units.  ``n_features`` is the width of the
+    training matrix; ``fit_tree`` sets it, and a tree built without it
+    takes queries of any width.
     """
 
     feature: np.ndarray
@@ -64,10 +66,11 @@ class Tree:
     value: np.ndarray
     count: np.ndarray
     gain: np.ndarray
+    n_features: int | None = None
 
     def predict(self, X) -> np.ndarray:
         """Leaf payload per row: the mean (regression) or class counts."""
-        return self.value[tree_apply(self, X)]
+        return self.value[tree_apply(self, query_data(X, self.n_features))]
 
     def predict_confidence(self, X) -> np.ndarray:
         """Per-row class fractions of the leaf's training counts."""
@@ -331,4 +334,5 @@ def fit_tree(
         value=np.array(value),
         count=np.array(count, dtype=np.intp),
         gain=np.array(gain, dtype=float),
+        n_features=p,
     )

@@ -41,7 +41,6 @@ from .evaluation import (
 from .learners import (
     FAMILIES,
     REGISTRY,
-    FeatureMatrix,
     ImportanceReport,
     LearnerSpec,
     TrainingDivergedError,
@@ -52,8 +51,6 @@ from .learners import (
     standardize,
 )
 
-RSSI_FEATURES = SCHEMAS["rssi"].numeric
-IMU_FEATURES = SCHEMAS["imu"].numeric
 DISTANCE_FEATURES = SCHEMAS["beacon"].numeric[2:]  # after position_x, position_y
 
 #: Table-layout display names for the learner families, in table order.
@@ -130,24 +127,27 @@ def _check_dataset(dataset: Dataset, schema_tag: str) -> None:
         raise ValidationError("dataset is empty")
 
 
-def build_rssi_features(dataset: Dataset) -> tuple[FeatureMatrix, np.ndarray]:
+def build_rssi_features(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(scanner readings, zone indices), one row per dataset row."""
     _check_dataset(dataset, "rssi")
-    return FeatureMatrix(values=dataset.values, columns=RSSI_FEATURES), dataset.zones
+    return dataset.values, dataset.zones
 
 
 def build_imu_features(
     dataset: Dataset, window: int | None = None
-) -> tuple[FeatureMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample channels, or windowed mean+std per channel when requested.
 
     Windows of ``window`` consecutive samples are taken without overlap
     inside runs of constant label (never across a label change); short
-    remainders are dropped.
+    remainders are dropped.  A window's features are its channels' means,
+    then their standard deviations; a window whose mean or standard
+    deviation overflows is refused.
     """
     _check_dataset(dataset, "imu")
     channels, labels = dataset.values, dataset.zones
     if window is None or window == 1:
-        return FeatureMatrix(values=channels, columns=IMU_FEATURES), labels
+        return channels, labels
 
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
@@ -161,19 +161,26 @@ def build_imu_features(
             f"window={window} leaves no complete windows; dataset runs are too short"
         )
     chunks = channels[first[:, None] + np.arange(window)]  # (windows, window, channels)
-    columns = tuple(f"{c}_mean" for c in IMU_FEATURES) + tuple(f"{c}_std" for c in IMU_FEATURES)
-    values = np.concatenate([chunks.mean(axis=1), chunks.std(axis=1)], axis=1)
-    return FeatureMatrix(values=values, columns=columns), labels[first]
+    # Finite cells near the float limit can overflow; such a window is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = np.concatenate([chunks.mean(axis=1), chunks.std(axis=1)], axis=1)
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        start = first[np.argmax(bad)]
+        raise ValidationError(
+            f"window={window}: the mean or standard deviation of the window of data rows "
+            f"{start + 1}..{start + window} overflows"
+        )
+    return features, labels[first]
 
 
 def build_beacon_features(
     dataset: Dataset,
-) -> tuple[FeatureMatrix, np.ndarray, np.ndarray, tuple[str, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
     """(distance features, position x, position y, times), all column views."""
     _check_dataset(dataset, "beacon")
     values = dataset.values
-    features = FeatureMatrix(values=values[:, 2:], columns=DISTANCE_FEATURES)
-    return features, values[:, 0], values[:, 1], dataset.times
+    return values[:, 2:], values[:, 0], values[:, 1], dataset.times
 
 
 # --------------------------------------------------------------------------
@@ -211,10 +218,10 @@ class ZoneRunResult:
     config: PipelineConfig
 
 
-def _run_zone(features: FeatureMatrix, labels: np.ndarray, config: PipelineConfig) -> ZoneRunResult:
-    train_idx, test_idx = _split(features.n_rows, config.split, labels)
-    stats, X_train = standardize(features.values[train_idx])
-    X_test = stats.transform(features.values[test_idx])
+def _run_zone(features: np.ndarray, labels: np.ndarray, config: PipelineConfig) -> ZoneRunResult:
+    train_idx, test_idx = _split(len(features), config.split, labels)
+    stats, X_train = standardize(features[train_idx])
+    X_test = stats.transform(features[test_idx])
     model = fit_classifier(config.learner, X_train, labels[train_idx], n_classes=len(ZONES))
     predicted, confidence = prediction_from_scores(model.predict_confidence(X_test))
     actual = labels[test_idx]
@@ -286,19 +293,19 @@ def run_coords(dataset: Dataset, config: PipelineConfig | None = None) -> Coords
     """Coordinate regression from beacon distances; X and Y are separate models."""
     config = config or default_coords_config()
     features, pos_x, pos_y, times = build_beacon_features(dataset)
-    train_idx, test_idx = _split(features.n_rows, config.split)
+    train_idx, test_idx = _split(len(features), config.split)
     models, predicted, report = _fit_predict_coords(
-        config.learner, features.values, (pos_x, pos_y), train_idx, test_idx
+        config.learner, features, (pos_x, pos_y), train_idx, test_idx
     )
     importance = (None, None)
     if config.learner.family == "random_forest":
-        importance = [feature_importance(m, feature_names=features.columns) for m in models]
+        importance = [feature_importance(m, feature_names=DISTANCE_FEATURES) for m in models]
     return CoordsRunResult(
         report=report,
         test_idx=test_idx,
         actual=np.column_stack([pos_x[test_idx], pos_y[test_idx]]),
         predicted=np.column_stack(predicted),
-        distances=features.values[test_idx],
+        distances=features[test_idx],
         times=tuple(map(times.__getitem__, test_idx.tolist())),
         importance_x=importance[0],
         importance_y=importance[1],
@@ -359,12 +366,12 @@ def compare_models(
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}
     for seed in seeds:
         split = SplitConfig(train_ratio=train_ratio, seed=seed, stratified=False)
-        train_idx, test_idx = _split(features.n_rows, split)
+        train_idx, test_idx = _split(len(features), split)
         for spec in specs:
             run_spec = LearnerSpec(family=spec.family, seed=seed, params=spec.params)
             try:
                 report = _fit_predict_coords(
-                    run_spec, features.values, (pos_x, pos_y), train_idx, test_idx
+                    run_spec, features, (pos_x, pos_y), train_idx, test_idx
                 )[2]
             except (ValidationError, TrainingDivergedError, FloatingPointError) as exc:
                 report = f"failed: {exc}"

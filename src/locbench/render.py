@@ -30,9 +30,11 @@ def write_atomic(path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the report, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -11,7 +11,6 @@ from locbench.learners import (
     MAX_LAYER_WIDTH,
     MAX_LAYERS,
     MAX_TREES,
-    FeatureMatrix,
     LearnerSpec,
     fit_classifier,
     fit_regressor,
@@ -50,20 +49,6 @@ class TestStandardize:
         train = np.array([[0.0], [2.0]])  # mean 1, std 1
         stats, _ = standardize(train)
         assert stats.transform(np.array([[3.0]]))[0, 0] == 2.0
-
-
-class TestFeatureMatrix:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            FeatureMatrix(values=np.array([[1.0, np.nan]]), columns=("a", "b"))
-
-    def test_rejects_column_name_mismatch(self):
-        with pytest.raises(ValidationError):
-            FeatureMatrix(values=np.zeros((2, 3)), columns=("a", "b"))
-
-    def test_shape_accessors(self):
-        fm = FeatureMatrix(values=np.zeros((4, 2)), columns=("a", "b"))
-        assert (fm.n_rows, fm.n_cols) == (4, 2)
 
 
 class TestLearnerSpec:
@@ -274,11 +259,51 @@ class TestTrainingContract:
             fit_regressor(_quick_spec(family), X, y)
 
     @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES)
-    @pytest.mark.parametrize("label", [-1, 4])
+    @pytest.mark.parametrize("label", [-1, 4, 1.5])
     def test_label_outside_the_classes_rejected_alike(self, family, label):
         X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 3, 0, label])
-        with pytest.raises(ValidationError, match=r"^class labels must lie in 0\.\.3, got "):
+        rule = "be whole numbers$" if label == 1.5 else r"lie in 0\.\.3, got "
+        with pytest.raises(ValidationError, match=f"^class labels must {rule}"):
             fit_classifier(_quick_spec(family), X, y, n_classes=4)
+
+
+def _bad_queries():
+    """One query per shared rule for a model fitted on 2 columns, with its message."""
+    X = np.arange(12.0).reshape(6, 2)
+    nan_cell = X.copy()
+    nan_cell[2, 1] = np.nan
+    return {
+        "wide": (np.hstack([X, X[:, :1]]), "queries have shape (6, 3), expected 2 columns"),
+        "narrow": (X[:, :1], "queries have shape (6, 1), expected 2 columns"),
+        "nan": (nan_cell, "query features contain non-finite values"),
+    }
+
+
+class TestQueryContract:
+    """Every fitted model checks its queries under the same rules and words."""
+
+    X = np.arange(12.0).reshape(6, 2)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("case", list(_bad_queries()))
+    def test_bad_regression_query_rejected_alike(self, family, case):
+        model = fit_regressor(_quick_spec(family), self.X, np.arange(6.0))
+        query, message = _bad_queries()[case]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.predict(query)
+
+    @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES)
+    @pytest.mark.parametrize("case", list(_bad_queries()))
+    def test_bad_confidence_query_rejected_alike(self, family, case):
+        model = fit_classifier(_quick_spec(family), self.X, [0, 1, 2, 3, 0, 1], n_classes=4)
+        query, message = _bad_queries()[case]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.predict_confidence(query)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_dimensional_query_is_one_row(self, family):
+        model = fit_regressor(_quick_spec(family), self.X, np.arange(6.0))
+        assert model.predict(self.X[3]).tolist() == model.predict(self.X[3:4]).tolist()
 
 
 def test_package_surface_resolves():

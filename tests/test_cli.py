@@ -19,6 +19,7 @@ from locbench.data import (
     write_csv,
 )
 from locbench.learners import MAX_LAYER_WIDTH, MAX_LAYERS, MAX_TREES, PARAMS
+from locbench.render import to_json
 
 
 def run(args):
@@ -184,6 +185,24 @@ class TestZoneCommands:
         assert code == 0
         assert (out / "report.json").exists()
 
+    def test_overflowing_window_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "i.csv"
+        run(["synth", "--kind", "imu", "--rows", "240", "--out", str(data), "--seed", "3"])
+        lines = data.read_text().splitlines(keepends=True)
+        assert lines[1].split(",")[6] == lines[2].split(",")[6]  # one run of one zone
+        for i in (1, 2):
+            lines[i] = "1e308" + lines[i][lines[i].index(",") :]
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["zone-imu", "--data", str(data), "--window", "2", "--trees", "5"]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: window=2: the mean or standard deviation of the window of data rows "
+            "1..2 overflows\n"
+        )
+        assert not out.exists()
+
     def test_wrong_schema_is_input_error(self, beacon_csv, tmp_path):
         assert run(["zone-rssi", "--data", str(beacon_csv), "--out-dir", str(tmp_path)]) == 1
 
@@ -253,6 +272,81 @@ class TestCompare:
     def test_seed_limit_rejects_a_thousand_and_one(self, text):
         with pytest.raises(CliUsageError, match="at most 1000"):
             _parse_seeds(text)
+
+
+class TestFormats:
+    """Each ``--format`` prints the summary that the report files hold."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("formats")
+        paths = {"errors": root / "errors.csv"}
+        paths["errors"].write_text("error\n3\n4\n")
+        for kind, rows in (("beacon", 80), ("rssi", 150), ("imu", 240)):
+            paths[kind] = root / f"{kind}.csv"
+            argv = ["synth", "--kind", kind, "--rows", str(rows), "--out", str(paths[kind])]
+            assert run(argv) == 0
+        return paths
+
+    def console(self, argv, out, capsys):
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def after(console, start):
+        """The console text after the first line that begins with ``start``."""
+        return console.partition("\n" + start)[2].partition("\n")[2]
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize("kind", ["rssi", "imu"])
+    def test_zone(self, kind, fmt, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [f"zone-{kind}", "--data", str(data[kind]), "--model", "knn", "--format", fmt]
+        console = self.console(argv, out, capsys)
+        report = json.loads((out / "report.json").read_text())
+        summary = {
+            "md": (out / "confusion.md").read_text(),
+            "csv": "".join(
+                f"{key}: {value}\n"
+                for key, value in sorted(report.items())
+                if isinstance(value, (int, float, str))
+            ),
+            "json": (out / "report.json").read_text(),
+        }[fmt]
+        assert self.after(console, "accuracy: ") == summary + f"reports written to {out}\n"
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_coords(self, fmt, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["coords", "--data", str(data["beacon"]), "--model", "linear_regression"]
+        console = self.console(argv + ["--format", fmt], out, capsys)
+        report = json.loads((out / "report.json").read_text())
+        summary = {k: v for k, v in report.items() if not k.startswith("errors_")}
+        printed = to_json(summary) if fmt == "json" else ""
+        assert self.after(console, "rmse_x: ") == printed + f"reports written to {out}\n"
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_compare(self, fmt, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["compare", "--data", str(data["beacon"]), "--families", "knn,linear_regression"]
+        console = self.console(argv + ["--format", fmt], out, capsys)
+        summary = {
+            "md": (out / "comparison.md").read_text(),
+            "csv": (out / "comparison.csv").read_text(),
+            "json": to_json(json.loads((out / "report.json").read_text())["aggregate"]),
+        }[fmt]
+        assert console.endswith(f"\n{summary}reports written to {out}\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_metrics(self, fmt, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        errors = str(data["errors"])
+        argv = ["metrics", "--errors-x", errors, "--errors-y", errors, "--format", fmt]
+        console = self.console(argv, out, capsys)
+        report = (out / "report.json").read_text()
+        assert self.after(console, "rmse_x: ") == (report if fmt == "json" else "")
+        assert json.loads(report)["rmse_x_cm"] == pytest.approx(12.5**0.5)
 
 
 class TestMetrics:
@@ -550,6 +644,15 @@ class TestBadArguments:
         assert captured.out == "" and fitted == []
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["beacons.csv", "report.txt"]
+
+    def test_failed_report_write_names_the_report(self, beacon_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "comparison.md").mkdir(parents=True)
+        capsys.readouterr()
+        argv = ["compare", "--data", str(beacon_csv), "--families", "linear_regression"]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: Is a directory: {out / 'comparison.md'}\n"
+        assert not list(out.glob("*.tmp"))
 
     def test_data_path_under_a_file_exits_one(self, beacon_csv, tmp_path, capsys):
         data = beacon_csv / "rows.csv"

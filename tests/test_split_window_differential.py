@@ -6,6 +6,8 @@ the same bytes: the same train and test indices, and the same window
 features and labels.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,13 +49,15 @@ def test_windows_match_the_loop(runs, seed, scale, data):
             build_imu_features(dataset, window=window)
         return
     features, labels = build_imu_features(dataset, window=window)
-    assert_same_bytes(features.values, want[0])
+    assert_same_bytes(features, want[0])
     assert_same_bytes(labels, want[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(runs=label_runs, ratio=ratios, seed=seeds, stratified=st.booleans())
 @example(runs=[(0, 5), (1, 5), (2, 5), (3, 5)], ratio=0.5, seed=1, stratified=True)  # tied top-ups
+# Each class's floor is 1 row, the total's 1 row: the floors overshoot and one is trimmed.
+@example(runs=[(0, 1), (1, 1)], ratio=0.9999999994, seed=1, stratified=True)
 def test_split_matches_the_loop(runs, ratio, seed, stratified):
     zones = zones_of(runs)
     names = [ZONES[i] for i in zones]
@@ -63,6 +67,13 @@ def test_split_matches_the_loop(runs, ratio, seed, stratified):
         got = split_indices(len(zones), config, labels)
         for side, expected in zip(got, want):
             assert_same_bytes(side, expected)
+    # The sizes, independently of the reference.
+    floor = lambda n: math.floor(ratio * n + 1e-9)
+    train = zones[got[0]]
+    assert len(train) == floor(len(zones))
+    if stratified:
+        for zone, size in zip(*np.unique(zones, return_counts=True)):
+            assert abs(np.count_nonzero(train == zone) - floor(size)) <= 1
 
 
 @settings(max_examples=100, deadline=None)
