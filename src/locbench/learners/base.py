@@ -87,8 +87,15 @@ def standardize(train: np.ndarray) -> tuple[Standardizer, np.ndarray]:
     X = np.asarray(train, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValidationError("standardize expects a non-empty 2-D array")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population convention
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)  # population convention
+    overflows = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflows.any():
+        raise ValidationError(
+            f"feature column {np.argmax(overflows)}: the mean or standard deviation "
+            "of the training rows overflows"
+        )
     scale = np.where(std > 0, std, 1.0)
     mean = np.where(std > 0, mean, 0.0)  # constant columns pass through unchanged
     stats = Standardizer(mean=mean, scale=scale)

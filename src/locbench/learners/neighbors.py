@@ -23,16 +23,24 @@ and -0.0 cells included: their squared differences are equal), so a tie
 between them goes to the lower row index, and no row after a group's k-th
 can be among the k nearest.
 
-Queries are processed in blocks of at most ``_BLOCK_ELEMENTS`` distance
-cells (block rows x distinct rows, one query row at least).  Distances are
-built one feature column at a time into (block rows x distinct rows)
-buffers that are allocated once per ``predict_knn`` call and reused for
-every block, so memory is bounded by three such buffers, not by the number
-of queries or features.  A linear-time partition finds each query's k-th
-smallest distinct distance (or its largest, with fewer than k distinct
-rows); every distinct row at or under it expands to its kept training rows,
-which are then ordered by (distance, training row index): exactly the
-first k of a stable argsort over all training rows.
+Queries are grouped the same way (``_sorted_groups`` serves both sides):
+equal query rows have bitwise equal distances to every training row, so
+each distinct query row is searched once and its neighbors are handed to
+every equal row through an inverse index.  A query set without repeats is
+one row per group.  The grouping adds O(queries) memory: the sort order,
+the inverse and one (distinct rows x k) neighbor table.
+
+Distinct query rows are processed in blocks of at most ``_BLOCK_ELEMENTS``
+distance cells (block rows x distinct training rows, one query row at
+least).  Distances are built one feature column at a time into buffers of
+that shape that are allocated once per ``predict_knn`` call and reused for
+every block, so the search holds three such buffers whatever the number of
+queries or features, and all other memory is linear in the rows.  A
+linear-time partition finds each query's k-th smallest distinct distance
+(or its largest, with fewer than k distinct rows); every distinct row at or
+under it expands to its kept training rows, which are then ordered by
+(distance, training row index): exactly the first k of a stable argsort
+over all training rows.
 """
 
 from __future__ import annotations
@@ -81,16 +89,26 @@ def fit_knn(X, y, *, k: int = 5, task: str = "regression", n_classes: int | None
     return KnnModel(X=X, y=y, k=k, task=task, columns=columns, members=members, n_classes=n_classes)
 
 
-def _group_rows(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``X`` with their first k row indices (see ``KnnModel``)."""
+def _sorted_groups(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable row order of ``X`` that puts equal rows next to each other, and
+    where each run of equal rows starts in it.
+
+    Rows are equal when they are equal cell for cell (+0.0 and -0.0 too), and
+    a stable sort keeps each run's rows in ascending order.
+    """
     n = len(X)
-    # A stable sort keeps each group's rows in ascending order.
     order = np.lexsort(X.T) if X.shape[1] else np.arange(n)
-    same = np.ones(n - 1, dtype=bool)  # sorted row i + 1 equals sorted row i
+    same = np.ones(max(n - 1, 0), dtype=bool)  # sorted row i + 1 equals sorted row i
     for column in X.T:
         column = column[order]
         same &= column[1:] == column[:-1]
-    starts = np.flatnonzero(np.r_[True, ~same])
+    return order, np.flatnonzero(np.r_[n > 0, ~same])
+
+
+def _group_rows(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``X`` with their first k row indices (see ``KnnModel``)."""
+    n = len(X)
+    order, starts = _sorted_groups(X)
     counts = np.diff(starts, append=n)
     slots = np.arange(min(k, counts.max()))
     members = np.take(order, starts[:, None] + slots, mode="clip")
@@ -159,21 +177,33 @@ def _nearest_in_block(d2: np.ndarray, scratch: np.ndarray, model: KnnModel) -> n
     return cols[order[firsts]]
 
 
+def _distinct_rows(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each run of equal ``queries`` (see ``_sorted_groups``),
+    and the run each row belongs to."""
+    order, starts = _sorted_groups(queries)
+    inverse = np.empty(len(queries), dtype=np.intp)
+    inverse[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(queries)))
+    return order[starts], inverse
+
+
 def _neighbor_indices(model: KnnModel, queries: np.ndarray) -> np.ndarray:
+    # Equal query rows have the same neighbors: search each distinct row
+    # once, then hand its neighbors to every row of its run.
+    firsts, inverse = _distinct_rows(queries)
     u = len(model.members)
-    rows = max(1, min(len(queries), _BLOCK_ELEMENTS // u))
+    rows = max(1, min(len(firsts), _BLOCK_ELEMENTS // u))
     # Three buffers, not one (3 x block) array: once glibc serves them from
     # its heap (freeing the first call's mapped buffers raises its mmap
     # threshold past their size), one large request rarely fits a freed
     # hole and grows the heap instead.
     d2, lane, square = (np.empty((rows, u)) for _ in range(3))
-    nearest = np.empty((len(queries), model.k), dtype=np.intp)
-    for start in range(0, len(queries), rows):
-        block = queries[start : start + rows]
+    nearest = np.empty((len(firsts), model.k), dtype=np.intp)
+    for start in range(0, len(firsts), rows):
+        block = queries[firsts[start : start + rows]]
         m = len(block)
         _block_distances(block, model.columns, d2[:m], lane[:m], square[:m])
         nearest[start : start + m] = _nearest_in_block(d2[:m], lane[:m], model)
-    return nearest
+    return nearest[inverse]
 
 
 def predict_knn(model: KnnModel, X) -> np.ndarray:

@@ -22,13 +22,19 @@ from .pipelines import FAMILY_LABELS, ComparisonResult, CoordsRunResult, ZoneRun
 
 
 def write_atomic(path, text: str) -> None:
-    """Write text to ``path`` via a temp file and rename."""
+    """Write text to ``path`` via a temp file and rename.
+
+    The file's mode is 0o666 less the umask, the mode ``open()`` gives a new file.
+    """
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0o22)  # only setting the umask reads it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600, widened as open() would
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):

@@ -186,6 +186,39 @@ class TestModelFileParsing:
         with pytest.raises(ParseError, match="^line 3: .*out of sequence"):
             parse_activity_models(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "model: m\nthreshold: 0.5\ncolour: red\n1, a, 1.0, c, 1.0, core\n",
+                "line 3: unknown key 'colour'",
+            ),
+            (
+                "model: m\nthreshold: 0.5\n1, a, heavy, c, 1.0, core\n",
+                "line 3: non-numeric index or weight in '1, a, heavy, c, 1.0, core'",
+            ),
+            (
+                "model: m\nthreshold: 0.5\none, a, 1.0, c, 1.0, core\n",
+                "line 3: non-numeric index or weight in 'one, a, 1.0, c, 1.0, core'",
+            ),
+            (
+                "# header\n\nthreshold: 0.5\n1, a, 1.0, c, 1.0, core\n",
+                "line 3: block is missing a 'model:' line",
+            ),
+            (
+                "model: one\nthreshold: 0.5\n1, a, 1.0, c, 1.0, core\n\n"
+                "model: two\n1, a, 1.0, c, 1.0, core\n",
+                "line 5: model 'two' is missing a 'threshold:' line",
+            ),
+            ("\nmodel: m\nthreshold: 0.5\n", "line 2: model 'm' has no element lines"),
+        ],
+        ids=["unknown-key", "weight", "index", "no-model", "no-threshold", "no-elements"],
+    )
+    def test_block_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_activity_models(text)
+        assert str(caught.value) == message
+
     def test_empty_text_parses_to_no_models(self):
         assert parse_activity_models("") == []
         assert parse_activity_models("# just a comment\n") == []

@@ -50,6 +50,16 @@ class TestStandardize:
         stats, _ = standardize(train)
         assert stats.transform(np.array([[3.0]]))[0, 0] == 2.0
 
+    @pytest.mark.parametrize(
+        "column", [[1e308, 0.0, 0.0], [1e308, 1e308, 0.0], [-1e308, 1e308, 0.0]],
+        ids=["std-overflows", "mean-overflows", "squares-overflow"],
+    )
+    def test_overflowing_column_is_refused_by_index(self, column):
+        # Finite cells whose mean or squared deviations pass the float limit.
+        X = np.column_stack([[1.0, 2.0, 3.0], column])
+        with pytest.raises(ValidationError, match=r"^feature column 1: the mean or standard"):
+            standardize(X)
+
 
 class TestLearnerSpec:
     def test_defaults_resolve_per_family(self):

@@ -203,6 +203,28 @@ class TestZoneCommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("in_training", [1, 2], ids=["one-cell", "both-cells"])
+    def test_overflowing_training_column_exits_one(self, tmp_path, capsys, in_training):
+        # Two acc_x cells of 1e308: one or both land in the training rows.
+        data = tmp_path / "i.csv"
+        run(["synth", "--kind", "imu", "--rows", "240", "--out", str(data), "--seed", "3"])
+        zones = parse_imu_csv(data).zones
+        train_idx, test_idx = split_indices(240, SplitConfig(0.7, seed=3, stratified=True), zones)
+        rows = [*train_idx[:in_training], *test_idx[: 2 - in_training]]
+        lines = data.read_text().splitlines(keepends=True)
+        for row in rows:
+            lines[row + 1] = "1e308" + lines[row + 1][lines[row + 1].index(",") :]
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["zone-imu", "--data", str(data), "--trees", "5", "--seed", "3"]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: feature column 0: the mean or standard deviation of the training rows "
+            "overflows\n"
+        )
+        assert not out.exists()
+
     def test_wrong_schema_is_input_error(self, beacon_csv, tmp_path):
         assert run(["zone-rssi", "--data", str(beacon_csv), "--out-dir", str(tmp_path)]) == 1
 

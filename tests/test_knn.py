@@ -169,10 +169,17 @@ def knn_cases(draw, p=st.integers(1, 4), scale=1.0):
     return X, queries, k, block
 
 
+def signed_zeros(draw, rows):
+    """``rows`` with each zero cell's sign drawn."""
+    negative = draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size))
+    return np.where((rows == 0) & np.array(negative, dtype=bool).reshape(rows.shape), -0.0, rows)
+
+
 @st.composite
 def repeat_heavy_cases(draw):
     """Few distinct grid rows, each repeated up to 3k times in random order,
-    with zero cells of either sign inside a group."""
+    with zero cells of either sign inside a group; the query rows repeat
+    in the same way."""
     p = draw(st.integers(0, 6))
     k = draw(st.integers(1, 6))
     cell = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
@@ -185,10 +192,10 @@ def repeat_heavy_cases(draw):
     distinct = grid_rows(4)
     copies = draw(st.lists(st.integers(1, 3 * k), min_size=len(distinct), max_size=len(distinct)))
     X = np.repeat(distinct, copies, axis=0)
-    X = X[draw(st.permutations(range(len(X))))]
-    negative = np.array(draw(st.lists(st.booleans(), min_size=X.size, max_size=X.size)), dtype=bool)
-    X = np.where((X == 0) & negative.reshape(X.shape), -0.0, X)
-    queries = grid_rows(12)
+    X = signed_zeros(draw, X[draw(st.permutations(range(len(X))))])
+    queries = grid_rows(6)
+    picks = draw(st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=24))
+    queries = signed_zeros(draw, queries[picks])
     u = len({tuple(r) for r in X.tolist()})  # -0.0 == 0.0, so signs do not split a row
     block = draw(st.sampled_from([1, u, 3 * u + 1, 1 << 20]))  # distance cells
     return X, queries, min(k, len(X)), block
@@ -196,30 +203,67 @@ def repeat_heavy_cases(draw):
 
 class TestBlockedNeighbors:
     @staticmethod
-    def check_against_whole_matrix(case, data):
+    def check_against_whole_matrix(case, y):
+        """Indices, means and votes against the whole-matrix stable argsort;
+        returns the query rows each search block held."""
         X, queries, k, block = case
         expected = reference_neighbor_indices(X, queries, k)
-        y = np.array(data.draw(st.lists(st.integers(0, 8), min_size=len(X), max_size=len(X))))
         y_reg, y_cls = y / 7, y % 3
         regressor = fit_knn(X, y_reg, k=k)
         classifier = fit_knn(X, y_cls, k=k, task="classification", n_classes=3)
+        searched = []
+        search = neighbors._block_distances
+        spy = lambda block, *args: searched.append(block.copy()) or search(block, *args)
         with mock.patch.object(neighbors, "_BLOCK_ELEMENTS", block):
-            assert np.array_equal(neighbors._neighbor_indices(regressor, queries), expected)
+            with mock.patch.object(neighbors, "_block_distances", spy):
+                assert np.array_equal(neighbors._neighbor_indices(regressor, queries), expected)
             mean = predict_knn(regressor, queries)
             votes = predict_knn(classifier, queries)
         assert mean.tobytes() == y_reg[expected].mean(axis=1).tobytes()
         assert votes.tobytes() == reference_votes(y_cls, expected, 3, k).tobytes()
+        return np.concatenate(searched) if searched else queries[:0]
+
+    @staticmethod
+    def labels(data, n):
+        return np.array(data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+
+    @staticmethod
+    def distinct_count(rows):
+        return len({tuple(r) for r in rows.tolist()})  # -0.0 == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(knn_cases(), st.data())
     def test_matches_whole_matrix_stable_argsort(self, case, data):
-        self.check_against_whole_matrix(case, data)
+        self.check_against_whole_matrix(case, self.labels(data, len(case[0])))
 
     @settings(max_examples=300, deadline=None)
     @given(repeat_heavy_cases(), st.data())
     def test_repeated_rows_match_whole_matrix_stable_argsort(self, case, data):
-        # Groups larger than k, labels that disagree within a group.
-        self.check_against_whole_matrix(case, data)
+        # Groups larger than k, labels that disagree within a group, and
+        # query rows that repeat: each distinct one is searched once.
+        searched = self.check_against_whole_matrix(case, self.labels(data, len(case[0])))
+        queries = case[1]
+        assert len(searched) == self.distinct_count(searched) == self.distinct_count(queries)
+
+    @pytest.mark.parametrize("queries", ["all-one-row", "all-distinct", "one"])
+    @pytest.mark.parametrize("block", ["one-cell", "u", "3u+1", "huge"])
+    def test_query_repeats_at_every_block_size(self, queries, block):
+        rng = np.random.default_rng(7)
+        grid = np.array(
+            [[a, b, c] for a in (-1.0, 0.0, 1.0) for b in (0.0, 2.0) for c in (0.0, 1.0)]
+        )
+        X = grid[rng.integers(0, 9, size=40)]  # 40 rows from 9 grid points
+        X = np.where((X == 0) & (rng.random(X.shape) < 0.5), -0.0, X)
+        queries = {
+            "all-one-row": np.where(rng.random((30, 3)) < 0.5, -0.0, 0.0),  # signed zeros
+            "all-distinct": grid[rng.permutation(len(grid))],
+            "one": grid[[3]],
+        }[queries]
+        u = self.distinct_count(X)
+        block = {"one-cell": 1, "u": u, "3u+1": 3 * u + 1, "huge": 1 << 20}[block]
+        y = rng.integers(0, 9, size=len(X))
+        searched = self.check_against_whole_matrix((X, queries, 5, block), y)
+        assert len(searched) == self.distinct_count(searched) == self.distinct_count(queries)
 
     @settings(max_examples=300, deadline=None)
     @given(knn_cases(p=st.integers(0, 12), scale=0.1))
@@ -284,5 +328,6 @@ class TestKnnMemory:
         peak = self.traced_peak(model, queries[:2000])
         doubled = self.traced_peak(model, queries)
         assert peak < self.LIMIT
-        # Only the (queries x k) indices and (queries x classes) votes grow.
+        # Only per-query arrays grow: the (queries x k) indices, the
+        # (queries x classes) votes and the query grouping's order and inverse.
         assert doubled < peak + 2000 * (5 + 2 * 4) * 8
