@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .data import ParseError, ValidationError
+from .data import ParseError, ValidationError, read_text
 
 WEIGHT_SUM_TOL = 1e-6
 COMPLETION_TOL = 1e-9
@@ -287,12 +287,7 @@ def _parse_block(block: list[tuple[int, str]]) -> ComplexActivityModel:
 
 
 def load_activity_models(path) -> list[ComplexActivityModel]:
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: file is not UTF-8 text") from None
-    return parse_activity_models(text)
+    return parse_activity_models(read_text(path))
 
 
 def bundled_models_path():

@@ -13,17 +13,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import render
 from .activity import load_activity_models, bundled_models_path, validate_activity_model
 from .data import (
     ParseError,
     SchemaError,
-    SplitConfig,
     ValidationError,
     parse_beacon_csv,
     parse_imu_csv,
     parse_rssi_csv,
+    read_text,
     synthetic_imu_dataset,
     synthetic_rssi_dataset,
     synthetic_walk_dataset,
@@ -95,8 +96,8 @@ def _add_common(
         )
 
 
-#: The hyperparameters exposed as flags; the rest are set through LearnerSpec.
-_LEARNER_FLAGS = ("k", "trees", "depth", "rate", "layers", "c", "epsilon", "gamma")
+#: The hyperparameters with flag help are flags; the rest are set through LearnerSpec.
+_LEARNER_FLAGS = tuple(name for name, param in PARAMS.items() if param.help)
 
 
 def _add_pipeline_flags(parser, defaults: PipelineConfig, choices=FAMILIES) -> None:
@@ -221,12 +222,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def _read_error_column(path) -> list[float]:
     values = []
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            lines = handle.readlines()
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: file is not UTF-8 text") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         cell = line.strip().split(",")[0]
         if not cell:
             continue
@@ -241,40 +237,44 @@ def _read_error_column(path) -> list[float]:
     return values
 
 
-def _print_summary(args, payload: dict, table_md: str | None = None) -> None:
-    if args.format == "json":
-        print(render.to_json(payload), end="")
-    elif table_md is not None and args.format == "md":
-        print(table_md, end="")
-    else:
-        for key, value in sorted(payload.items()):
-            if isinstance(value, (int, float, str)):
-                print(f"{key}: {value}")
+def _pipeline_config(args, learner: LearnerSpec, defaults: PipelineConfig) -> PipelineConfig:
+    """``defaults`` with the flags' learner, training fraction, seed and window."""
+    return replace(
+        defaults,
+        learner=learner,
+        split=replace(defaults.split, train_ratio=args.train_ratio, seed=args.seed),
+        window=getattr(args, "window", defaults.window),
+    )
 
 
 def _cmd_zone(args, kind: str) -> int:
     learner = _learner_spec(args)  # refuses bad learner flags before any work
     parse = parse_rssi_csv if kind == "rssi" else parse_imu_csv
     dataset = parse(args.data)
-    config = PipelineConfig(
-        learner=learner,
-        split=SplitConfig(train_ratio=args.train_ratio, seed=args.seed, stratified=True),
-        window=getattr(args, "window", None),
-    )
+    defaults = default_zone_rssi_config() if kind == "rssi" else default_zone_imu_config()
+    config = _pipeline_config(args, learner, defaults)
     _echo_config(args, {"learner": config.learner.to_text()})
     result = run_zone_rssi(dataset, config) if kind == "rssi" else run_zone_imu(dataset, config)
 
     out_dir = _resolve_out_dir(args)
     payload = render.zone_report_payload(result)
-    render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
-    render.write_atomic(
-        os.path.join(out_dir, "predictions.csv"), render.zone_predictions_csv(result)
-    )
     confusion = render.confusion_markdown(result.report)
-    render.write_atomic(os.path.join(out_dir, "confusion.md"), confusion)
+    reports = {
+        "report.json": render.to_json(payload),
+        "predictions.csv": render.zone_predictions_csv(result),
+        "confusion.md": confusion,
+    }
+    render.write_reports(out_dir, reports)
 
     print(f"accuracy: {render.pct(result.report.accuracy)}  (n={result.report.matrix.total})")
-    _print_summary(args, payload, confusion)
+    if args.format == "json":
+        print(reports["report.json"], end="")
+    elif args.format == "md":
+        print(confusion, end="")
+    else:
+        for key, value in sorted(payload.items()):
+            if isinstance(value, (int, float, str)):
+                print(f"{key}: {value}")
     print(f"reports written to {out_dir}")
     return 0
 
@@ -288,18 +288,16 @@ def _cmd_coords(args) -> int:
     learner = _learner_spec(args)  # refuses bad learner flags before any work
     dataset = parse_beacon_csv(args.data)
     _echo_notes(dataset)
-    config = PipelineConfig(
-        learner=learner,
-        split=SplitConfig(train_ratio=args.train_ratio, seed=args.seed, stratified=False),
-    )
+    config = _pipeline_config(args, learner, default_coords_config())
     _echo_config(args, {"learner": config.learner.to_text()})
     result = run_coords(dataset, config)
 
     out_dir = _resolve_out_dir(args)
     payload = render.coords_report_payload(result)
-    render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
+    reports = {"report.json": render.to_json(payload)}
     for axis, table in render.coord_predictions_csv(result).items():
-        render.write_atomic(os.path.join(out_dir, f"predictions_{axis}.csv"), table)
+        reports[f"predictions_{axis}.csv"] = table
+    render.write_reports(out_dir, reports)
 
     report = result.report
     print(
@@ -332,16 +330,17 @@ def _cmd_compare(args) -> int:
 
     out_dir = _resolve_out_dir(args)
     payload = render.comparison_report_payload(result)
-    render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
-    render.write_atomic(os.path.join(out_dir, "comparison.csv"), render.comparison_csv(result))
-    render.write_atomic(os.path.join(out_dir, "comparison.md"), render.comparison_markdown(result))
+    reports = {
+        "report.json": render.to_json(payload),
+        "comparison.csv": render.comparison_csv(result),
+        "comparison.md": render.comparison_markdown(result),
+    }
+    render.write_reports(out_dir, reports)
 
-    if args.format == "csv":
-        print(render.comparison_csv(result), end="")
-    elif args.format == "json":
+    if args.format == "json":
         print(render.to_json(payload["aggregate"]), end="")
     else:
-        print(render.comparison_markdown(result), end="")
+        print(reports["comparison.csv" if args.format == "csv" else "comparison.md"], end="")
     print(f"reports written to {out_dir}")
     return 0
 
@@ -401,10 +400,11 @@ def _cmd_metrics(args) -> int:
         "n_y": len(errors_y),
     }
     out_dir = _resolve_out_dir(args)
-    render.write_atomic(os.path.join(out_dir, "report.json"), render.to_json(payload))
+    report = render.to_json(payload)
+    render.write_reports(out_dir, {"report.json": report})
     print(f"rmse_x: {ex:.4f} cm  rmse_y: {ey:.4f} cm  horizontal_error: {eh:.4f} cm")
     if args.format == "json":
-        print(render.to_json(payload), end="")
+        print(report, end="")
     return 0
 
 

@@ -361,6 +361,15 @@ def _check_number(schema: Schema, name: str, text: str) -> None:
         raise ValidationError(message)
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text, less a leading byte-order mark, read with universal newlines."""
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: file is not UTF-8 text") from None
+
+
 def parse_csv(path, schema_tag: str) -> Dataset:
     """Parse a CSV file according to one of the schemas in ``SCHEMAS``.
 
@@ -563,24 +572,19 @@ def synthetic_walk_dataset(rows: int = 250, noise_sigma: float = 0.05, seed: int
 _ZONE_ACTIVITIES = ("sleeping", "cooking", "working", "defecating")
 
 
-def synthetic_rssi_dataset(
-    rows: int = 400, seed: int = 42, visible_range: tuple[float, float] = (-90.0, -40.0)
-) -> Dataset:
+def synthetic_rssi_dataset(rows: int = 400, seed: int = 42) -> Dataset:
     """Scanner readings where exactly one zone sees the beacon per row.
 
-    The visible zone's scanner reads uniformly inside ``visible_range``;
+    The visible zone's scanner reads uniformly inside [-90, -40) dBm;
     all other scanners report the out-of-range value.  The label is the
     visible zone, so the data is perfectly separable by construction.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = visible_range
-    if not (RSSI_OUT_OF_RANGE < lo <= hi <= 0.0):
-        raise ValidationError("visible_range must sit inside (-120, 0]")
     zones = np.empty(rows, dtype=np.intp)
     values = np.full((rows, len(ZONES)), RSSI_OUT_OF_RANGE)
     for i in range(rows):  # one zone draw, then one reading draw, per row
         zones[i] = rng.integers(0, len(ZONES))
-        values[i, zones[i]] = rng.uniform(lo, hi)
+        values[i, zones[i]] = rng.uniform(-90.0, -40.0)
     return Dataset("rssi", values, zones=zones)
 
 
@@ -594,12 +598,13 @@ _IMU_SIGNATURES = {
 }
 
 
-def synthetic_imu_dataset(rows: int = 400, seed: int = 42, noise: float = 0.45) -> Dataset:
+def synthetic_imu_dataset(rows: int = 400, seed: int = 42) -> Dataset:
     """Accelerometer/gyroscope rows with zone-specific channel signatures.
 
     Rows come in runs of 8-25 consecutive samples per zone, mimicking a
     person dwelling in one zone at the nominal sampling rate, so windowed
-    feature extraction has complete windows to work with.
+    feature extraction has complete windows to work with.  Each channel
+    adds Gaussian noise of sigma 0.45 to its zone's signature.
     """
     rng = np.random.default_rng(seed)
     runs: list[np.ndarray] = []
@@ -607,7 +612,7 @@ def synthetic_imu_dataset(rows: int = 400, seed: int = 42, noise: float = 0.45) 
     while len(zones) < rows:
         zone = int(rng.integers(0, len(ZONES)))
         dwell = min(int(rng.integers(8, 26)), rows - len(zones))
-        runs.append(rng.normal(0.0, noise, size=(dwell, 6)) + _IMU_SIGNATURES[ZONES[zone]])
+        runs.append(rng.normal(0.0, 0.45, size=(dwell, 6)) + _IMU_SIGNATURES[ZONES[zone]])
         zones += [zone] * dwell
     values = np.concatenate(runs) if runs else np.empty((0, 6))
     activities = tuple(_ZONE_ACTIVITIES[z] for z in zones)

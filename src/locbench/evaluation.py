@@ -63,10 +63,8 @@ class ClassificationReport:
     matrix: ConfusionMatrix
 
 
-def confusion_matrix(
-    truth: Sequence[int], predicted: Sequence[int], classes: Sequence[str] = ZONES
-) -> ConfusionMatrix:
-    """Tally predictions against ground truth, both given as indices into ``classes``."""
+def confusion_matrix(truth: Sequence[int], predicted: Sequence[int]) -> ConfusionMatrix:
+    """Tally predictions against ground truth, both given as indices into ``ZONES``."""
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
     if len(truth) != len(predicted):
@@ -75,16 +73,15 @@ def confusion_matrix(
         )
     if len(truth) == 0:
         raise ValidationError("cannot build a confusion matrix from zero samples")
-    classes = tuple(classes)
-    k = len(classes)
+    k = len(ZONES)
     for kind, labels in (("true", truth), ("predicted", predicted)):
         if labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ValidationError(f"{kind} labels must be a 1-D array of class indices")
         if ((labels < 0) | (labels >= k)).any():
-            raise ValidationError(f"{kind} label index outside 0..{k - 1} (classes {classes})")
+            raise ValidationError(f"{kind} label index outside 0..{k - 1} (classes {ZONES})")
     cells = predicted.astype(np.intp) * k + truth.astype(np.intp)
     counts = np.bincount(cells, minlength=k * k).reshape(k, k)
-    return ConfusionMatrix(classes=classes, counts=counts)
+    return ConfusionMatrix(classes=ZONES, counts=counts)
 
 
 def classification_report(cm: ConfusionMatrix) -> ClassificationReport:

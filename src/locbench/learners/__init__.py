@@ -36,7 +36,6 @@ from .forest import (
     default_mtry,
     feature_importance,
     fit_forest,
-    predict_forest,
 )
 from .linear import LinearModel, fit_ols
 from .mlp import MlpModel, MlpNetwork, fit_mlp
@@ -77,7 +76,6 @@ __all__ = [
     "fit_svr",
     "fit_tree",
     "prediction_from_scores",
-    "predict_forest",
     "predict_knn",
     "standardize",
     "tree_apply",

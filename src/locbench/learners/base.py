@@ -72,14 +72,25 @@ class Standardizer:
 
     Uses the population (divide-by-n) standard deviation.  Columns with
     zero variance pass through unscaled.  Apply the same fitted transform
-    to test data; never refit on test data.
+    to test data; never refit on test data.  A finite cell whose
+    transformed value overflows is refused, naming its column.
     """
 
     mean: np.ndarray
     scale: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) / self.scale
+        X = np.asarray(X, dtype=float)
+        with np.errstate(over="ignore"):
+            out = (X - self.mean) / self.scale
+        overflows = np.isfinite(X) & ~np.isfinite(out)
+        if overflows.any():
+            column = np.argmax(np.atleast_2d(overflows).any(axis=0))
+            raise ValidationError(
+                f"feature column {column}: a value overflows when scaled by the training "
+                "rows' mean and standard deviation"
+            )
+        return out
 
 
 def standardize(train: np.ndarray) -> tuple[Standardizer, np.ndarray]:
@@ -102,18 +113,16 @@ def standardize(train: np.ndarray) -> tuple[Standardizer, np.ndarray]:
     return stats, stats.transform(X)
 
 
-def prediction_from_scores(
-    scores: np.ndarray, classes: tuple[str, ...] = ZONES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check a (rows x classes) confidence matrix and take each row's argmax.
+def prediction_from_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a (rows x zones) confidence matrix and take each row's argmax.
 
-    Returns (predicted class indices, the scores as float64).  Every row
+    Returns (predicted zone indices, the scores as float64).  Every row
     must be non-negative and sum to 1; exact ties go to the earliest
-    class in ``classes`` (canonical zone order).
+    zone in ``ZONES`` order.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[1] != len(classes):
-        raise ValidationError(f"expected {len(classes)} scores per row, got shape {scores.shape}")
+    if scores.ndim != 2 or scores.shape[1] != len(ZONES):
+        raise ValidationError(f"expected {len(ZONES)} scores per row, got shape {scores.shape}")
     bad = (scores < -1e-12).any(axis=1) | (np.abs(scores.sum(axis=1) - 1.0) > 1e-9)
     if bad.any():
         raise ValidationError(

@@ -18,9 +18,6 @@ from ..data import ValidationError
 from .base import query_data, training_data
 from .tree import Tree, tree_apply, tree_gains
 
-DEFAULT_TREES = 100
-DEFAULT_DEPTH = 10
-
 
 @dataclass(frozen=True)
 class ForestModel:
@@ -30,20 +27,29 @@ class ForestModel:
     task: str
     n_features: int
     n_classes: int | None
-    max_depth: int
-    seed: int
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_forest(self, X)
+        """Mean over trees (regression) or per-class vote fractions (classification)."""
+        return self._predict(X)
 
     def predict_confidence(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classification":
             raise ValidationError("confidence output requires a classification forest")
-        return predict_forest(self, X)
+        return self._predict(X)
+
+    def _predict(self, X) -> np.ndarray:
+        X = query_data(X, self.n_features)
+        if self.task == "regression":
+            total = np.zeros(len(X))
+            for tree in self.trees:
+                total += tree.value[tree_apply(tree, X)]
+            return total / len(self.trees)
+        votes = np.zeros((len(X), self.n_classes))
+        rows = np.arange(len(X))
+        for tree in self.trees:
+            # argmax takes the first maximum: count ties vote for the lowest class.
+            votes[rows, np.argmax(tree.value[tree_apply(tree, X)], axis=1)] += 1.0
+        return votes / len(self.trees)
 
 
 def default_mtry(n_features: int, task: str) -> int:
@@ -58,8 +64,8 @@ def fit_forest(
     y,
     *,
     task: str = "regression",
-    n_trees: int = DEFAULT_TREES,
-    max_depth: int = DEFAULT_DEPTH,
+    n_trees: int = 100,
+    max_depth: int = 10,
     min_leaf: int = 1,
     seed: int = 42,
     n_classes: int | None = None,
@@ -93,29 +99,8 @@ def fit_forest(
             )
         )
     return ForestModel(
-        trees=tuple(trees),
-        task=task,
-        n_features=X.shape[1],
-        n_classes=n_classes,
-        max_depth=max_depth,
-        seed=seed,
+        trees=tuple(trees), task=task, n_features=X.shape[1], n_classes=n_classes
     )
-
-
-def predict_forest(model: ForestModel, X) -> np.ndarray:
-    """Mean over trees (regression) or per-class vote fractions (classification)."""
-    X = query_data(X, model.n_features)
-    if model.task == "regression":
-        total = np.zeros(len(X))
-        for tree in model.trees:
-            total += tree.value[tree_apply(tree, X)]
-        return total / model.n_trees
-    votes = np.zeros((len(X), model.n_classes))
-    rows = np.arange(len(X))
-    for tree in model.trees:
-        # argmax takes the first maximum: count ties vote for the lowest class.
-        votes[rows, np.argmax(tree.value[tree_apply(tree, X)], axis=1)] += 1.0
-    return votes / model.n_trees
 
 
 @dataclass(frozen=True)

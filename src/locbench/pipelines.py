@@ -14,7 +14,7 @@ same splits and ranks them by the three regression metrics.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -318,9 +318,9 @@ def run_coords(dataset: Dataset, config: PipelineConfig | None = None) -> Coords
 # --------------------------------------------------------------------------
 
 
-def default_comparison_specs(seed: int = 42) -> tuple[LearnerSpec, ...]:
+def default_comparison_specs() -> tuple[LearnerSpec, ...]:
     """The eight family presets, in canonical table order."""
-    return tuple(LearnerSpec(family=f, seed=seed) for f in FAMILIES)
+    return tuple(LearnerSpec(family=f) for f in FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,11 @@ def compare_models(
         if repeated:
             raise ValidationError(f"{what} repeat: {', '.join(map(str, repeated))}")
     features, pos_x, pos_y, _ = build_beacon_features(dataset)
+    policy = default_coords_config().split
 
     per_seed: dict[str, dict[int, RegressionReport | str]] = {s.family: {} for s in specs}
     for seed in seeds:
-        split = SplitConfig(train_ratio=train_ratio, seed=seed, stratified=False)
+        split = replace(policy, train_ratio=train_ratio, seed=seed)
         train_idx, test_idx = _split(len(features), split)
         for spec in specs:
             run_spec = LearnerSpec(family=spec.family, seed=seed, params=spec.params)
@@ -373,7 +374,7 @@ def compare_models(
                 report = _fit_predict_coords(
                     run_spec, features, (pos_x, pos_y), train_idx, test_idx
                 )[2]
-            except (ValidationError, TrainingDivergedError, FloatingPointError) as exc:
+            except (ValidationError, TrainingDivergedError) as exc:
                 report = f"failed: {exc}"
             per_seed[spec.family][seed] = report
 

@@ -10,11 +10,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import io
+import errno
 import json
 import os
 import re
-import tempfile
+from typing import Mapping
 
 from .data import ZONES
 from .evaluation import REGRESSION_METRICS, ClassificationReport, RegressionReport
@@ -24,17 +24,16 @@ from .pipelines import FAMILY_LABELS, ComparisonResult, CoordsRunResult, ZoneRun
 def write_atomic(path, text: str) -> None:
     """Write text to ``path`` via a temp file and rename.
 
-    The file's mode is 0o666 less the umask, the mode ``open()`` gives a new file.
+    The temp file is created as ``open()`` creates a file, so the kernel
+    gives it 0o666 less the umask.
     """
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        umask = os.umask(0o22)  # only setting the umask reads it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600, widened as open() would
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -42,6 +41,20 @@ def write_atomic(path, text: str) -> None:
         if isinstance(exc, OSError):  # name the report, not the temp file
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def write_reports(out_dir, texts: Mapping[str, str]) -> None:
+    """Write a report set, file name to text, into ``out_dir``.
+
+    Every destination is checked before any file is written, so a
+    directory in the place of one report leaves the set unwritten.
+    """
+    paths = [os.path.join(out_dir, name) for name in texts]
+    for path in paths:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for path, text in zip(paths, texts.values()):
+        write_atomic(path, text)
 
 
 def to_json(payload) -> str:
@@ -79,22 +92,22 @@ def pct(value: float | None) -> str:
 # --------------------------------------------------------------------------
 
 
+def _markdown_table(header: list[str], rows) -> str:
+    """A markdown table: the header line, its rule, then one line per row of cells."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join(["| " + " | ".join(cells) + " |\n" for cells in lines])
+
+
 def confusion_markdown(report: ClassificationReport) -> str:
     """The confusion matrix table: predicted rows, true columns."""
     cm = report.matrix
-    out = io.StringIO()
-    out.write(f"accuracy: {pct(report.accuracy)}\n\n")
-    header = [""] + [f"true {c}" for c in cm.classes] + ["class precision"]
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + " --- |" * len(header) + "\n")
-    for i, cls in enumerate(cm.classes):
-        row = [f"pred. {cls}"]
-        row += [str(int(v)) for v in cm.counts[i]]
-        row.append(pct(report.precision[cls]))
-        out.write("| " + " | ".join(row) + " |\n")
-    recall_row = ["class recall"] + [pct(report.recall[c]) for c in cm.classes] + [""]
-    out.write("| " + " | ".join(recall_row) + " |\n")
-    return out.getvalue()
+    header = ["", *(f"true {c}" for c in cm.classes), "class precision"]
+    rows = [
+        [f"pred. {cls}", *map(str, cm.counts[i].tolist()), pct(report.precision[cls])]
+        for i, cls in enumerate(cm.classes)
+    ]
+    rows.append(["class recall", *(pct(report.recall[c]) for c in cm.classes), ""])
+    return f"accuracy: {pct(report.accuracy)}\n\n" + _markdown_table(header, rows)
 
 
 def zone_report_payload(result: ZoneRunResult) -> dict:
@@ -186,38 +199,33 @@ def coord_predictions_csv(result: CoordsRunResult) -> dict[str, str]:
 # Comparison
 # --------------------------------------------------------------------------
 
-_COMPARISON_HEADERS = ("RMSE in X-Direction", "RMSE in Y-Direction", "Horizontal Error")
+_COMPARISON_HEADER = [
+    "Learning Approach",
+    "RMSE in X-Direction",
+    "RMSE in Y-Direction",
+    "Horizontal Error",
+]
 
 
 def _comparison_rows(result: ComparisonResult, number):
-    """(label, three metric cells) per family; ``number`` formats one metric."""
+    """The label and three metric cells of each family; ``number`` formats one metric."""
     for family, report in result.aggregate.items():
         if isinstance(report, str):
             values = ["failed"] * 3
         else:
             values = [number(getattr(report, metric)) for metric in REGRESSION_METRICS]
-        yield FAMILY_LABELS[family], values
+        yield [FAMILY_LABELS[family], *values]
 
 
 def comparison_csv(result: ComparisonResult) -> str:
-    out = io.StringIO()
-    out.write("Learning Approach," + ",".join(_COMPARISON_HEADERS) + "\n")
-    for label, values in _comparison_rows(result, "{:.2f}".format):
-        out.write(",".join([label] + values) + "\n")
-    return out.getvalue()
+    return _csv_text(_COMPARISON_HEADER, list(zip(*_comparison_rows(result, "{:.2f}".format))))
 
 
 def comparison_markdown(result: ComparisonResult) -> str:
-    out = io.StringIO()
-    header = ["Learning Approach", *_COMPARISON_HEADERS]
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + " --- |" * len(header) + "\n")
-    for label, values in _comparison_rows(result, "{:.2f} cm".format):
-        out.write("| " + " | ".join([label] + values) + " |\n")
+    text = _markdown_table(_COMPARISON_HEADER, _comparison_rows(result, "{:.2f} cm".format))
     if result.ranking is not None:
-        out.write("\nascending by horizontal error: ")
-        out.write(" < ".join(result.ranking.by_horizontal) + "\n")
-    return out.getvalue()
+        text += f"\nascending by horizontal error: {' < '.join(result.ranking.by_horizontal)}\n"
+    return text
 
 
 def comparison_report_payload(result: ComparisonResult) -> dict:

@@ -60,6 +60,15 @@ class TestStandardize:
         with pytest.raises(ValidationError, match=r"^feature column 1: the mean or standard"):
             standardize(X)
 
+    def test_query_cell_that_overflows_when_scaled_is_refused_by_index(self):
+        # The training scale of column 1 is 0.5, so a finite 1.7e308 passes the
+        # float limit in the divide; a NaN cell is left to the query check.
+        stats, _ = standardize(np.array([[1.0, 0.0], [2.0, 1.0]]))
+        assert stats.scale.tolist() == [0.5, 0.5]
+        assert np.isnan(stats.transform(np.array([[np.nan, 1.0]]))[0, 0])
+        with pytest.raises(ValidationError, match=r"^feature column 1: a value overflows"):
+            stats.transform(np.array([[1.0, 2.0], [1.0, 1.7e308]]))
+
 
 class TestLearnerSpec:
     def test_defaults_resolve_per_family(self):

@@ -18,7 +18,8 @@ from locbench.data import (
     synthetic_walk_dataset,
     write_csv,
 )
-from locbench.learners import MAX_LAYER_WIDTH, MAX_LAYERS, MAX_TREES, PARAMS
+from locbench.learners import MAX_LAYER_WIDTH, MAX_LAYERS, MAX_TREES, PARAMS, REGISTRY
+from locbench.pipelines import ComparisonResult
 from locbench.render import to_json
 
 
@@ -225,6 +226,30 @@ class TestZoneCommands:
         )
         assert not out.exists()
 
+    def test_test_row_cell_that_overflows_when_scaled_exits_one(self, tmp_path, capsys):
+        # acc_x's training scale is below 1, so 1.5e308 in a test row passes the
+        # float limit when standardized, though the parser accepts it.
+        data = tmp_path / "i.csv"
+        run(["synth", "--kind", "imu", "--rows", "240", "--out", str(data), "--seed", "3"])
+        dataset = parse_imu_csv(data)
+        train_idx, test_idx = split_indices(
+            240, SplitConfig(0.7, seed=3, stratified=True), dataset.zones
+        )
+        assert dataset.values[train_idx, 0].std() < 0.8
+        lines = data.read_text().splitlines(keepends=True)
+        line = lines[test_idx[0] + 1]
+        lines[test_idx[0] + 1] = "1.5e308" + line[line.index(",") :]
+        data.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["zone-imu", "--data", str(data), "--trees", "5", "--seed", "3"]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: feature column 0: a value overflows when scaled by the training rows' "
+            "mean and standard deviation\n"
+        )
+        assert not out.exists()
+
     def test_wrong_schema_is_input_error(self, beacon_csv, tmp_path):
         assert run(["zone-rssi", "--data", str(beacon_csv), "--out-dir", str(tmp_path)]) == 1
 
@@ -294,6 +319,81 @@ class TestCompare:
     def test_seed_limit_rejects_a_thousand_and_one(self, text):
         with pytest.raises(CliUsageError, match="at most 1000"):
             _parse_seeds(text)
+
+
+    def test_default_families_are_the_registry_in_order(self, beacon_csv, tmp_path, monkeypatch):
+        received = []
+
+        def compare_models(dataset, specs, seeds, train_ratio):
+            # Fits nothing: every family fails on every seed.
+            received.append((specs, seeds, train_ratio))
+            failed = "failed: not fitted"
+            per_seed = {spec.family: dict.fromkeys(seeds, failed) for spec in specs}
+            aggregate = dict.fromkeys(per_seed, failed)
+            return ComparisonResult(aggregate, per_seed, tuple(seeds), ranking=None)
+
+        monkeypatch.setattr(cli, "compare_models", compare_models)
+        out = tmp_path / "out"
+        assert run(["compare", "--data", str(beacon_csv), "--out-dir", str(out)]) == 0
+        [(specs, seeds, train_ratio)] = received
+        assert [spec.family for spec in specs] == list(REGISTRY)
+        assert seeds == (42,) and train_ratio == 0.7
+        labels = [line.split(",")[0] for line in (out / "comparison.csv").read_text().splitlines()]
+        assert labels[1:] == [family.label for family in REGISTRY.values()]
+
+
+class TestReportSets:
+    """A directory in the place of one report leaves the whole set unwritten."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sets")
+        paths = {"errors": root / "errors.csv"}
+        paths["errors"].write_text("3\n4\n")
+        for kind, rows in (("beacon", 80), ("rssi", 150)):
+            paths[kind] = root / f"{kind}.csv"
+            argv = ["synth", "--kind", kind, "--rows", str(rows), "--out", str(paths[kind])]
+            assert run(argv) == 0
+        return paths
+
+    @staticmethod
+    def tree(out):
+        return {
+            path.relative_to(out): path.read_bytes() if path.is_file() else None
+            for path in out.rglob("*")
+        }
+
+    @pytest.mark.parametrize(
+        "command,report",
+        [
+            ("zone-rssi", "report.json"),
+            ("zone-rssi", "predictions.csv"),
+            ("zone-rssi", "confusion.md"),
+            ("coords", "report.json"),
+            ("coords", "predictions_x.csv"),
+            ("coords", "predictions_y.csv"),
+            ("compare", "report.json"),
+            ("compare", "comparison.csv"),
+            ("compare", "comparison.md"),
+            ("metrics", "report.json"),
+        ],
+    )
+    def test_directory_in_place_of_a_report(self, command, report, data, tmp_path, capsys):
+        beacon, errors = str(data["beacon"]), str(data["errors"])
+        argv = {
+            "zone-rssi": ["zone-rssi", "--data", str(data["rssi"])],
+            "coords": ["coords", "--data", beacon, "--model", "linear_regression"],
+            "compare": ["compare", "--data", beacon, "--families", "linear_regression"],
+            "metrics": ["metrics", "--errors-x", errors, "--errors-y", errors],
+        }[command]
+        out = tmp_path / "out"
+        (out / report).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        before = self.tree(out)
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: Is a directory: {out / report}\n"
+        assert self.tree(out) == before
 
 
 class TestFormats:
@@ -497,6 +597,10 @@ class TestValidateActivities:
 
 
 class TestCliBasics:
+    def test_learner_flags_are_the_params_with_help(self):
+        flags = ("k", "trees", "depth", "rate", "layers", "c", "epsilon", "gamma")
+        assert cli._LEARNER_FLAGS == flags
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "locbench" in capsys.readouterr().out
@@ -666,15 +770,6 @@ class TestBadArguments:
         assert captured.out == "" and fitted == []
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["beacons.csv", "report.txt"]
-
-    def test_failed_report_write_names_the_report(self, beacon_csv, tmp_path, capsys):
-        out = tmp_path / "out"
-        (out / "comparison.md").mkdir(parents=True)
-        capsys.readouterr()
-        argv = ["compare", "--data", str(beacon_csv), "--families", "linear_regression"]
-        assert run(argv + ["--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: Is a directory: {out / 'comparison.md'}\n"
-        assert not list(out.glob("*.tmp"))
 
     def test_data_path_under_a_file_exits_one(self, beacon_csv, tmp_path, capsys):
         data = beacon_csv / "rows.csv"

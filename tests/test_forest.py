@@ -5,7 +5,6 @@ from locbench.learners import (
     ForestModel,
     feature_importance,
     fit_forest,
-    predict_forest,
     tree_depth,
 )
 from locbench.learners.tree import tree_gains
@@ -24,7 +23,7 @@ class TestForestRegression:
         X = rng.normal(size=(30, 3))
         model = fit_forest(X, np.full(30, 4.5), n_trees=10, seed=1)
         assert all(tree.feature[0] == -1 for tree in model.trees)
-        assert np.all(predict_forest(model, X[:5]) == 4.5)
+        assert np.all(model.predict(X[:5]) == 4.5)
 
     def test_prediction_bounded_by_target_range(self):
         rng = np.random.default_rng(1)
@@ -32,7 +31,7 @@ class TestForestRegression:
         y = rng.uniform(-5.0, 11.0, size=60)
         model = fit_forest(X, y, n_trees=25, seed=2)
         queries = rng.normal(scale=3.0, size=(40, 3))
-        preds = predict_forest(model, queries)
+        preds = model.predict(queries)
         assert np.all(preds >= y.min() - 1e-12)
         assert np.all(preds <= y.max() + 1e-12)
 
@@ -48,10 +47,10 @@ class TestForestRegression:
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         q = rng.normal(size=(10, 3))
-        a = predict_forest(fit_forest(X, y, n_trees=15, seed=7), q)
-        b = predict_forest(fit_forest(X, y, n_trees=15, seed=7), q)
+        a = fit_forest(X, y, n_trees=15, seed=7).predict(q)
+        b = fit_forest(X, y, n_trees=15, seed=7).predict(q)
         assert np.array_equal(a, b)
-        c = predict_forest(fit_forest(X, y, n_trees=15, seed=8), q)
+        c = fit_forest(X, y, n_trees=15, seed=8).predict(q)
         assert not np.array_equal(a, c)
 
 
@@ -62,10 +61,8 @@ class TestForestClassification:
             task="classification",
             n_features=1,
             n_classes=4,
-            max_depth=1,
-            seed=0,
         )
-        conf = predict_forest(model, [[0.0]])[0]
+        conf = model.predict_confidence([[0.0]])[0]
         assert conf.tolist() == [2 / 3, 0.0, 0.0, 1 / 3]
 
     def test_confidences_normalized_on_fitted_forest(self):
@@ -75,7 +72,7 @@ class TestForestClassification:
         model = fit_forest(
             X, y, task="classification", n_trees=20, n_classes=4, seed=5
         )
-        conf = predict_forest(model, rng.normal(2, 2, size=(15, 2)))
+        conf = model.predict_confidence(rng.normal(2, 2, size=(15, 2)))
         assert np.allclose(conf.sum(axis=1), 1.0, atol=1e-9)
         assert (conf >= 0).all()
 
@@ -84,7 +81,7 @@ class TestForestClassification:
         X = np.vstack([rng.normal(0, 0.5, (40, 2)), rng.normal(5, 0.5, (40, 2))])
         y = np.repeat([1, 3], 40)
         model = fit_forest(X, y, task="classification", n_trees=30, n_classes=4, seed=6)
-        conf = predict_forest(model, [[0.0, 0.0], [5.0, 5.0]])
+        conf = model.predict_confidence([[0.0, 0.0], [5.0, 5.0]])
         assert np.argmax(conf[0]) == 1
         assert np.argmax(conf[1]) == 3
 

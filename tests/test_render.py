@@ -1,5 +1,5 @@
 """``render.to_json`` against the indenting ``json`` encoder it stands in for,
-and the mode of the files ``render.write_atomic`` writes."""
+and how ``render.write_atomic`` and ``render.write_reports`` write files."""
 
 import json
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locbench.render import to_json, write_atomic
+from locbench.render import to_json, write_atomic, write_reports
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=6)
@@ -66,3 +66,33 @@ def test_report_mode_honours_the_umask(tmp_path, umask):
         assert stat.S_IMODE(written.stat().st_mode) == 0o666 & ~umask
     assert path.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.md", "report.json"]
+
+
+def test_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask to read it would change the mode of files other
+    # threads create meanwhile.
+    def refuse(mask):
+        raise AssertionError("write_atomic changed the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    write_atomic(tmp_path / "report.json", "new\n")
+    assert (tmp_path / "report.json").read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_failed_write_names_the_report_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "comparison.md").mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        write_atomic(tmp_path / "comparison.md", "text\n")
+    assert raised.value.filename == str(tmp_path / "comparison.md")
+    assert [p.name for p in tmp_path.iterdir()] == ["comparison.md"]
+
+
+def test_link_to_a_directory_is_replaced_like_any_report(tmp_path):
+    # rename() replaces a symbolic link itself, so only a real directory blocks a report.
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "report.json").symlink_to(tmp_path / "elsewhere")
+    write_reports(tmp_path, {"report.json": "new\n", "comparison.md": "text\n"})
+    assert (tmp_path / "report.json").read_text() == "new\n"
+    assert not (tmp_path / "report.json").is_symlink()
+    assert list((tmp_path / "elsewhere").iterdir()) == []
