@@ -51,10 +51,8 @@ MAX_SEEDS = 1000
 #: Most rows one ``synth`` run may write; it holds every row in memory, about
 #: 0.4 KiB each.
 MAX_SYNTH_ROWS = 1_000_000
-#: ``--trees``, the ``--layers`` count and each width are bounded where every
-#: learner parameter is checked, in the registry (MAX_TREES, MAX_LAYERS,
-#: MAX_LAYER_WIDTH), so the flags and ``LearnerSpec.from_text`` refuse the
-#: same values.
+# The learner flags are bounded in ``learners.PARAMS``, the one rule table that
+# every spec and fit is checked against.
 
 
 class CliUsageError(ValueError):

@@ -4,19 +4,18 @@ Regressors expose ``model.predict(X) -> ndarray``; classifiers expose
 ``model.predict_confidence(X) -> (n, n_classes) ndarray`` of vote or
 probability fractions that sum to one per row.  Build either through
 :func:`fit_regressor` / :func:`fit_classifier` with a :class:`LearnerSpec`,
-or call the per-family fit functions directly; each checks its training
-set with :func:`.base.training_data` first.
+or call the per-family fit functions directly; each checks its
+hyperparameters, then its training set with :func:`.base.training_data`.
 
-Every fact about a family lives in two tables: :data:`PARAMS` (each
-hyperparameter's text form, valid range and flag help) and
-:data:`REGISTRY` (each family's label, fit function, defaults and the
-context that function takes).
+Each hyperparameter's default is a keyword default of the fit functions,
+read into :data:`REGISTRY` (two presets add theirs).  Its text form, valid
+range, flag help and fit keyword are in :data:`PARAMS`, which
+:func:`.base.check_params` applies to every spec and every direct fit.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -24,8 +23,17 @@ import numpy as np
 
 from ..data import ValidationError
 from .base import (
+    MAX_EPOCHS,
+    MAX_ITERS,
+    MAX_LAYER_WIDTH,
+    MAX_LAYERS,
+    MAX_TREES,
+    PARAMS,
+    Param,
     Standardizer,
     TrainingDivergedError,
+    check_params,
+    int_tuple,
     prediction_from_scores,
     standardize,
 )
@@ -52,6 +60,8 @@ __all__ = [
     "KnnModel",
     "LearnerSpec",
     "LinearModel",
+    "MAX_EPOCHS",
+    "MAX_ITERS",
     "MAX_LAYERS",
     "MAX_LAYER_WIDTH",
     "MAX_TREES",
@@ -83,93 +93,6 @@ __all__ = [
 ]
 
 
-def _count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def int_tuple(text: str) -> tuple[int, ...]:
-    """Parse comma-separated integers: "50,50" -> (50, 50)."""
-    return tuple(int(v) for v in text.split(",") if v)
-
-
-@dataclass(frozen=True)
-class Param:
-    """One hyperparameter: its text form, its valid values and its flag help."""
-
-    parse: Callable[[str], object]
-    check: Callable[[object], bool]
-    rule: str  # completes "<name> must be ..."
-    help: str | None = None  # set for the parameters the CLI exposes as flags
-    show: Callable[[object], str] = str
-
-
-_COUNT = "an integer >= 1"
-
-#: Most trees one forest or boosted ensemble may hold; each is fitted in turn.
-MAX_TREES = 10_000
-#: Most units one hidden layer may have.  Two layers this wide already need
-#: an 8 MB weight matrix, and its gradient, per network.
-MAX_LAYER_WIDTH = 1_000
-#: Most hidden layers one network may have: at most about 160 MB of weights.
-MAX_LAYERS = 20
-
-PARAMS: dict[str, Param] = {
-    "k": Param(int, _count, _COUNT, "neighbors (knn)"),
-    "trees": Param(
-        int,
-        lambda v: _count(v) and v <= MAX_TREES,
-        f"an integer from 1 to {MAX_TREES}",
-        "ensemble size",
-    ),
-    "depth": Param(int, _count, _COUNT, "maximum tree depth"),
-    "min_leaf": Param(int, _count, _COUNT),
-    "epochs": Param(int, _count, _COUNT),
-    "batch": Param(int, _count, _COUNT),
-    "iters": Param(int, _count, _COUNT),
-    "rate": Param(
-        float, lambda v: _finite(v) and 0 < v <= 1, "a number in (0, 1]", "learning rate"
-    ),
-    "layers": Param(
-        int_tuple,
-        lambda v: isinstance(v, tuple)
-        and 1 <= len(v) <= MAX_LAYERS
-        and all(_count(s) and s <= MAX_LAYER_WIDTH for s in v),
-        f"1 to {MAX_LAYERS} integers from 1 to {MAX_LAYER_WIDTH}",
-        "hidden layer sizes, comma separated (ann/deep_learning)",
-        show=lambda v: ",".join(str(s) for s in v),
-    ),
-    "c": Param(
-        float, lambda v: _finite(v) and v > 0, "a finite number > 0", "penalty weight (svr)"
-    ),
-    "epsilon": Param(
-        float, lambda v: _finite(v) and v >= 0, "a finite number >= 0", "insensitive band (svr)"
-    ),
-    # None (the default) means 1 / n_features.
-    "gamma": Param(
-        float,
-        lambda v: v is None or (_finite(v) and v > 0),
-        "a finite number > 0",
-        "rbf width (svr)",
-    ),
-    "kernel": Param(str, lambda v: v in ("linear", "rbf"), "linear or rbf"),
-    "activation": Param(str, lambda v: v in ("sigmoid", "relu"), "sigmoid or relu"),
-}
-
-#: Spec names that the fit functions spell differently.
-_KEYWORDS = {
-    "trees": "n_trees",
-    "depth": "max_depth",
-    "layers": "hidden",
-    "batch": "batch_size",
-    "c": "C",
-    "iters": "max_iter",
-}
-
-
 @dataclass(frozen=True)
 class Family:
     """One learner family: table label, fit function and defaults."""
@@ -180,41 +103,31 @@ class Family:
     context: tuple[str, ...] = ()  # which of task, seed, n_classes ``fit`` takes
 
 
+def _family(label: str, fit: Callable, **presets) -> Family:
+    """A family whose defaults are ``fit``'s keyword-only defaults that PARAMS
+    names, under their spec names, overridden by ``presets``."""
+    names = {param.keyword or name: name for name, param in PARAMS.items()}
+    defaults, context = {}, []
+    for keyword, parameter in inspect.signature(fit).parameters.items():
+        if parameter.kind is parameter.KEYWORD_ONLY and keyword in names:
+            defaults[names[keyword]] = parameter.default
+        elif keyword in ("task", "seed", "n_classes"):
+            context.append(keyword)
+    return Family(label, fit.__name__, {**defaults, **presets}, tuple(context))
+
+
 #: The eight families in canonical table order.
 REGISTRY: dict[str, Family] = {
-    "random_forest": Family(
-        "Random Forest",
-        "fit_forest",
-        {"trees": 100, "depth": 10, "min_leaf": 1},
-        ("task", "seed", "n_classes"),
+    "random_forest": _family("Random Forest", fit_forest),
+    "ann": _family("Artificial Neural Network", fit_mlp),
+    "decision_tree": _family("Decision Tree", fit_tree, depth=10),
+    "svr": _family("Support Vector Machine", fit_svr),
+    "knn": _family("k-NN", fit_knn),
+    "gbt": _family("Gradient Boosted Trees", fit_gbt),
+    "deep_learning": _family(
+        "Deep Learning", fit_mlp, layers=(50, 50), activation="relu", epochs=300, rate=0.01
     ),
-    "ann": Family(
-        "Artificial Neural Network",
-        "fit_mlp",
-        {"layers": (10,), "activation": "sigmoid", "epochs": 500, "rate": 0.1, "batch": 16},
-        ("task", "seed", "n_classes"),
-    ),
-    "decision_tree": Family(
-        "Decision Tree", "fit_tree", {"depth": 10, "min_leaf": 1}, ("task", "n_classes")
-    ),
-    "svr": Family(
-        "Support Vector Machine",
-        "fit_svr",
-        {"c": 1.0, "epsilon": 0.1, "kernel": "rbf", "gamma": None, "iters": 500},
-    ),
-    "knn": Family("k-NN", "fit_knn", {"k": 5}, ("task", "n_classes")),
-    "gbt": Family(
-        "Gradient Boosted Trees",
-        "fit_gbt",
-        {"trees": 100, "depth": 5, "rate": 0.1, "min_leaf": 1},
-    ),
-    "deep_learning": Family(
-        "Deep Learning",
-        "fit_mlp",
-        {"layers": (50, 50), "activation": "relu", "epochs": 300, "rate": 0.01, "batch": 16},
-        ("task", "seed", "n_classes"),
-    ),
-    "linear_regression": Family("Linear Regression", "fit_ols", {}),
+    "linear_regression": _family("Linear Regression", fit_ols),
 }
 
 FAMILIES = tuple(REGISTRY)
@@ -252,11 +165,7 @@ class LearnerSpec:
             raise ValidationError(
                 f"{self.family} does not accept parameter(s): {', '.join(sorted(unknown))}"
             )
-        for key, value in self.params.items():
-            if not PARAMS[key].check(value):
-                raise ValidationError(
-                    f"{self.family}: {key} must be {PARAMS[key].rule}, got {value!r}"
-                )
+        check_params(f"{self.family}: ", **self.params)
 
     def resolved(self) -> dict:
         return {**REGISTRY[self.family].defaults, **self.params}
@@ -301,7 +210,7 @@ def _fit(spec: LearnerSpec, X, y, **context):
     """
     family = REGISTRY[spec.family]
     context["seed"] = spec.seed
-    kwargs = {_KEYWORDS.get(key, key): value for key, value in spec.resolved().items()}
+    kwargs = {PARAMS[key].keyword or key: value for key, value in spec.resolved().items()}
     kwargs.update((name, context[name]) for name in family.context if name in context)
     return globals()[family.fit](X, y, **kwargs)
 

@@ -1,8 +1,11 @@
-"""Shared learner plumbing: training and query checks, standardization, predictions."""
+"""Learner plumbing: parameter rules, training and query checks, standardization, predictions."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +18,101 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+
+
+def _count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def int_tuple(text: str) -> tuple[int, ...]:
+    """Parse comma-separated integers: "50,50" -> (50, 50)."""
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One hyperparameter: its text form, its valid values and its flag help."""
+
+    parse: Callable[[str], object]
+    check: Callable[[object], bool]
+    rule: str  # completes "<name> must be ..."
+    help: str | None = None  # set for the parameters the CLI exposes as flags
+    show: Callable[[object], str] = str
+    keyword: str | None = None  # set where the fit functions name it differently
+
+
+_COUNT, _POSITIVE = "an integer >= 1", "a finite number > 0"
+
+#: Most trees one forest or boosted ensemble may hold; each is fitted in turn.
+MAX_TREES = 10_000
+#: Most units one hidden layer may have.  Two layers this wide already need
+#: an 8 MB weight matrix, and its gradient, per network.
+MAX_LAYER_WIDTH = 1_000
+#: Most hidden layers one network may have: at most about 160 MB of weights.
+MAX_LAYERS = 20
+#: Most epochs one network may train and iterations one SVR fit may run: each
+#: is a pass over the training rows, and each limit is 200 times its preset.
+MAX_EPOCHS = 100_000
+MAX_ITERS = 100_000
+
+
+def _up_to(limit: int) -> tuple[Callable[[object], bool], str]:
+    """The check and rule of an integer from 1 to ``limit``."""
+    return lambda v: _count(v) and v <= limit, f"an integer from 1 to {limit}"
+
+
+#: Every hyperparameter of the eight families, in CLI flag order.  A fit
+#: function's keyword defaults are its family's defaults (``REGISTRY``).
+PARAMS: dict[str, Param] = {
+    "k": Param(int, _count, _COUNT, "neighbors (knn)"),
+    "trees": Param(int, *_up_to(MAX_TREES), "ensemble size", keyword="n_trees"),
+    "depth": Param(int, _count, _COUNT, "maximum tree depth", keyword="max_depth"),
+    "min_leaf": Param(int, _count, _COUNT),
+    "epochs": Param(int, *_up_to(MAX_EPOCHS)),
+    "batch": Param(int, _count, _COUNT, keyword="batch_size"),
+    "iters": Param(int, *_up_to(MAX_ITERS), keyword="max_iter"),
+    "rate": Param(
+        float, lambda v: _finite(v) and 0 < v <= 1, "a number in (0, 1]", "learning rate"
+    ),
+    "layers": Param(
+        int_tuple,
+        lambda v: isinstance(v, tuple)
+        and 1 <= len(v) <= MAX_LAYERS
+        and all(_count(s) and s <= MAX_LAYER_WIDTH for s in v),
+        f"1 to {MAX_LAYERS} integers from 1 to {MAX_LAYER_WIDTH}",
+        "hidden layer sizes, comma separated (ann/deep_learning)",
+        show=lambda v: ",".join(str(s) for s in v),
+        keyword="hidden",
+    ),
+    "c": Param(float, _positive, _POSITIVE, "penalty weight (svr)", keyword="C"),
+    "epsilon": Param(
+        float, lambda v: _finite(v) and v >= 0, "a finite number >= 0", "insensitive band (svr)"
+    ),
+    # None (the default) means 1 / n_features.
+    "gamma": Param(float, lambda v: v is None or _positive(v), _POSITIVE, "rbf width (svr)"),
+    "kernel": Param(str, lambda v: v in ("linear", "rbf"), "linear or rbf"),
+    "activation": Param(str, lambda v: v in ("sigmoid", "relu"), "sigmoid or relu"),
+}
+
+#: PARAMS under the fit functions' keywords as well as their own names.
+_RULES = {**PARAMS, **{param.keyword: param for param in PARAMS.values() if param.keyword}}
+
+
+def check_params(prefix: str = "", /, **values) -> None:
+    """Refuse a value outside its rule in :data:`PARAMS`, named as given (a PARAMS
+    name or a fit keyword) after ``prefix``."""
+    for name, value in values.items():
+        param = _RULES[name]
+        if not param.check(value):
+            raise ValidationError(f"{prefix}{name} must be {param.rule}, got {value!r}")
 
 
 def training_data(X, y, task: str = "regression", n_classes: int | None = None):

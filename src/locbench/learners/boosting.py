@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import ValidationError
-from .base import query_data, training_data
+from .base import check_params, query_data, training_data
 from .tree import Tree, fit_tree, tree_apply
 
 
@@ -43,9 +42,8 @@ def fit_gbt(
     rate: float = 0.1,
     min_leaf: int = 1,
 ) -> GbtModel:
+    check_params(n_trees=n_trees, max_depth=max_depth, rate=rate, min_leaf=min_leaf)
     X, y = training_data(X, y)
-    if not (0.0 < rate <= 1.0):
-        raise ValidationError(f"rate must be in (0, 1], got {rate}")
 
     baseline = float(y.mean())
     current = np.full(len(y), baseline)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import query_data, training_data
+from .base import check_params, query_data, training_data
 from .tree import Tree, tree_apply, tree_gains
 
 
@@ -73,9 +73,8 @@ def fit_forest(
 ) -> ForestModel:
     from .tree import fit_tree
 
+    check_params(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf)
     X, y = training_data(X, y, task, n_classes)
-    if n_trees < 1:
-        raise ValidationError(f"n_trees must be >= 1, got {n_trees}")
     if mtry is None:
         mtry = default_mtry(X.shape[1], task)
 

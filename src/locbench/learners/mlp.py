@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError, query_data, training_data
+from .base import TrainingDivergedError, check_params, query_data, training_data
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -45,8 +45,7 @@ class MlpNetwork:
     def __init__(self, layer_sizes: tuple[int, ...], activation: str, task: str, seed: int = 42):
         if len(layer_sizes) < 2:
             raise ValidationError("need at least input and output layer sizes")
-        if activation not in ("sigmoid", "relu"):
-            raise ValidationError(f"unknown activation {activation!r}")
+        check_params(activation=activation)
         if task not in ("regression", "classification"):
             raise ValidationError(f"unknown task {task!r}")
         self.layer_sizes = tuple(layer_sizes)
@@ -167,7 +166,8 @@ def fit_mlp(
     task: str = "regression",
     n_classes: int | None = None,
 ) -> MlpModel:
-    """Train a network; features should be standardized upstream."""
+    """Train a network; features should be standardized upstream (MlpNetwork checks activation)."""
+    check_params(hidden=hidden, epochs=epochs, rate=rate, batch_size=batch_size)
     X, y = training_data(X, y, task, n_classes)
     if task == "regression":
         y_min = float(y.min())

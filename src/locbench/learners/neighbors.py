@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import query_data, training_data
+from .base import check_params, query_data, training_data
 
 # Distance cells (query rows x distinct training rows) in one block: 2**15
 # float64 cells are 256 KiB per buffer.
@@ -80,9 +80,8 @@ class KnnModel:
 
 
 def fit_knn(X, y, *, k: int = 5, task: str = "regression", n_classes: int | None = None) -> KnnModel:
+    check_params(k=k)
     X, y = training_data(X, y, task, n_classes)
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     if k > len(X):
         raise ValidationError(f"k={k} exceeds the {len(X)} training rows")
     columns, members = _group_rows(X, k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import TrainingDivergedError, query_data, training_data
+from .base import TrainingDivergedError, check_params, query_data, training_data
 
 _STEP_GROW = 1.3
 _MAX_HALVINGS = 50
@@ -32,7 +32,8 @@ def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
         + np.sum(B * B, axis=1)[None, :]
         - 2.0 * (A @ B.T)
     )
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    with np.errstate(over="ignore"):  # a product past the float limit is -inf: exp gives 0
+        return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,8 @@ def fit_svr(
     gamma: float | None = None,
     max_iter: int = 500,
 ) -> SvrModel:
+    check_params(C=C, epsilon=epsilon, kernel=kernel, gamma=gamma, max_iter=max_iter)
     X, y = training_data(X, y)
-    if C <= 0:
-        raise ValidationError(f"C must be > 0, got {C}")
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    if kernel not in ("linear", "rbf"):
-        raise ValidationError(f"unknown kernel {kernel!r}")
 
     n, p = X.shape
     rbf = kernel == "rbf"

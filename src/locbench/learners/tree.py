@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ValidationError
-from .base import query_data, training_data
+from .base import check_params, query_data, training_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +210,8 @@ def fit_tree(
     searches every feature.  If the sampled subset admits no valid split
     the search falls back to all features before giving up.
     """
+    check_params(min_leaf=min_leaf)
     X, y = training_data(X, y, task, n_classes)
-    if min_leaf < 1:
-        raise ValidationError(f"min_leaf must be >= 1, got {min_leaf}")
     if len(y) < min_leaf:
         raise ValidationError(f"need at least min_leaf={min_leaf} samples, got {len(y)}")
     if mtry is not None:

@@ -151,11 +151,13 @@ def build_imu_features(
 
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # the first row of each run
-    lengths = np.diff(starts, append=len(labels))
-    offset = np.arange(len(labels)) - np.repeat(starts, lengths)  # each row's place in its run
-    left = np.repeat(lengths, lengths) - offset  # rows from this one to the end of its run
-    first = np.flatnonzero((offset % window == 0) & (left >= window))  # each window's first row
+    first = np.empty(0, dtype=np.intp)  # each window's first row
+    if window <= len(labels):  # a longer window leaves none, and may not fit numpy's integers
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))  # the first row of each run
+        lengths = np.diff(starts, append=len(labels))
+        offset = np.arange(len(labels)) - np.repeat(starts, lengths)  # each row's place in its run
+        left = np.repeat(lengths, lengths) - offset  # rows from this one to the end of its run
+        first = np.flatnonzero((offset % window == 0) & (left >= window))
     if len(first) == 0:
         raise ValidationError(
             f"window={window} leaves no complete windows; dataset runs are too short"

@@ -8,9 +8,13 @@ from locbench.data import ZONES, ValidationError
 from locbench.learners import (
     CLASSIFIER_FAMILIES,
     FAMILIES,
+    MAX_EPOCHS,
+    MAX_ITERS,
     MAX_LAYER_WIDTH,
     MAX_LAYERS,
     MAX_TREES,
+    PARAMS,
+    REGISTRY,
     LearnerSpec,
     fit_classifier,
     fit_regressor,
@@ -116,11 +120,29 @@ class TestLearnerSpec:
             ("svr", {"c": float("inf")}),
             ("svr", {"epsilon": float("inf")}),
             ("svr", {"gamma": float("inf")}),
+            ("gbt", {"trees": 0}),
+            ("random_forest", {"trees": 1.5}),
+            ("decision_tree", {"min_leaf": 0}),
+            ("ann", {"batch": 0}),
+            ("ann", {"epochs": 0}),
+            ("ann", {"epochs": MAX_EPOCHS + 1}),
+            ("ann", {"rate": 0.0}),
+            ("ann", {"activation": "tanh"}),
+            ("svr", {"iters": -1}),
+            ("svr", {"iters": MAX_ITERS + 1}),
+            ("svr", {"gamma": 0.0}),
         ],
     )
     def test_out_of_range_parameters_rejected(self, family, params):
-        with pytest.raises(ValidationError):
+        # Through a spec, and through the family's fit function under its keyword.
+        [(key, value)] = params.items()
+        keyword = PARAMS[key].keyword or key
+        rule = f"must be {re.escape(PARAMS[key].rule)}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=f"^{family}: {key} {rule}"):
             LearnerSpec(family, params=params)
+        fit = getattr(locbench.learners, REGISTRY[family].fit)
+        with pytest.raises(ValidationError, match=f"^{keyword} {rule}"):
+            fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), **{keyword: value})
 
     def test_text_round_trip(self):
         for spec in (

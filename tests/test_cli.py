@@ -204,6 +204,20 @@ class TestZoneCommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["241", str(2**63 - 1), "99999999999999999999999"])
+    def test_window_longer_than_the_rows_exits_one(self, tmp_path, capsys, window):
+        # The largest window does not fit numpy's integers.
+        data = tmp_path / "i.csv"
+        run(["synth", "--kind", "imu", "--rows", "240", "--out", str(data), "--seed", "3"])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["zone-imu", "--data", str(data), "--window", window, "--trees", "5"]
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: window={window} leaves no complete windows; dataset runs are too short\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("in_training", [1, 2], ids=["one-cell", "both-cells"])
     def test_overflowing_training_column_exits_one(self, tmp_path, capsys, in_training):
         # Two acc_x cells of 1e308: one or both land in the training rows.

@@ -6,6 +6,7 @@ import pytest
 from locbench.cli import run_cli
 from locbench.data import ValidationError
 from locbench.learners import TrainingDivergedError, fit_svr, standardize
+from locbench.learners.svr import _rbf_kernel
 
 
 def assert_non_increasing(values):
@@ -64,6 +65,13 @@ class TestSvrRbf:
         model = fit_svr(X, y, kernel="rbf", C=10.0, gamma=2.0, epsilon=0.05, max_iter=800)
         preds = model.predict(X)
         assert float(np.sqrt(np.mean((preds - y) ** 2))) < 0.2
+
+    def test_huge_gamma_gives_the_kernel_limit_without_overflow(self):
+        # gamma * d2 passes the float limit off the diagonal: the kernel there is 0.
+        X, y = np.arange(3.0).reshape(3, 1), np.arange(3.0)
+        model = fit_svr(X, y, gamma=1e308, max_iter=5)
+        assert _rbf_kernel(X, X, 1e308).tolist() == np.eye(3).tolist()
+        assert model.predict(X + 0.5).tolist() == [model.b] * 3
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
